@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
@@ -96,13 +97,26 @@ def _load_pool(ds_cfg: dict, seed: int) -> LabeledDataset:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"pool_{_cache_key(ds_cfg, seed)}.npz")
         if os.path.exists(path):
-            blob = np.load(path)
-            return LabeledDataset(blob["x"], blob["y"],
-                                  int(blob["num_classes"]))
+            with np.load(path) as blob:
+                return LabeledDataset(blob["x"], blob["y"],
+                                      int(blob["num_classes"]))
     ds = generate_gaussian(spec, ds_cfg["n"], seed=seed)
     if path:
-        np.savez(path, x=ds.x, y=ds.y, num_classes=ds.num_classes)
+        _save_pool(path, ds)
     return ds
+
+
+def _save_pool(path: str, ds: LabeledDataset) -> None:
+    """Write the pool under a temporary name, then rename it into place,
+    so a concurrent run never reads a partly written file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, x=ds.x, y=ds.y, num_classes=ds.num_classes)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _loss_spec(cfg: dict, k: int) -> LossSpec:
@@ -447,6 +461,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config is not valid JSON: {e}") from e
         _validate_config(cfg, section)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         os.makedirs(args.out, exist_ok=True)

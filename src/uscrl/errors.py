@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, precondition failures (infeasible pools, exceeded enumeration
-caps) with 3, and numeric failures (divergence, non-convergence) with 4.
+caps) with 3, and numeric failures (divergence, non-finite values) with 4.
 """
 
 
@@ -32,4 +32,4 @@ class SizeError(PreconditionError):
 
 
 class NumericError(UscrlError):
-    """Numeric failure at runtime (divergence, iteration limits)."""
+    """Numeric failure at runtime (divergence, non-finite values)."""

@@ -8,7 +8,8 @@ Two families share one forward/backward core:
   each layer under its own spectral cap.
 
 Constraints are enforced by multiplicative projection after every SGD
-step; spectral norms come from power iteration. Backward computes the
+step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
+when the Frobenius norm already certifies the cap. Backward computes the
 exact gradient of the mean clipped tuple loss, including the zero
 gradient on clipped tuples.
 """
@@ -49,17 +50,11 @@ def _activation_deriv(kind: str, z: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}")
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iters: int = 500) -> float:
-    """Largest singular value by block power iteration on A^T A.
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a matrix, exact (one LAPACK SVD).
 
-    A single power vector stalls when the two leading singular values
-    nearly tie (the per-step change sits just above any tolerance for
-    ~1/gap iterations), so we iterate an orthonormal block of up to 8
-    vectors and accept the top Ritz value once its eigen-residual falls
-    below tol relative, which covers exact ties as well. Raises a
-    diagnostic error with the iteration count if that never happens.
-    The start block is drawn from a fixed seed so results are
-    reproducible run to run.
+    Exact also when the leading singular values tie or cluster: a hard
+    projection onto a spectral cap needs the true norm, not an estimate.
     """
 
     a = np.asarray(a, dtype=np.float64)
@@ -67,35 +62,9 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iters: int = 500) -> flo
         raise ConfigError("spectral_norm expects a matrix")
     if not np.isfinite(a).all():
         raise NumericError("spectral_norm: non-finite entries")
-    if a.size == 0 or not a.any():
+    if a.size == 0:
         return 0.0
-    n = a.shape[1]
-    block = min(8, n)
-    rng = np.random.default_rng(0xA5)
-    v, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    sigma = 0.0
-    for it in range(1, max_iters + 1):
-        bv = a.T @ (a @ v)
-        t = v.T @ bv
-        evals, evecs = np.linalg.eigh((t + t.T) / 2.0)
-        lam = float(evals[-1])
-        if lam <= 0.0:
-            # the block fell into the null space of a nonzero matrix;
-            # reseed and keep iterating
-            v, _ = np.linalg.qr(rng.standard_normal((n, block)))
-            continue
-        top = v @ evecs[:, -1]
-        resid = np.linalg.norm(a.T @ (a @ top) - lam * top)
-        sigma = math.sqrt(lam)
-        # eigen-residual certifies |lam - lambda_1| <= resid once the block
-        # has locked onto the leading subspace; a change-based stop instead
-        # fires mid-drift on clustered spectra and returns a stale value
-        if resid <= tol * lam:
-            return sigma
-        v, _ = np.linalg.qr(bv)
-    raise NumericError(
-        f"power iteration did not converge within {max_iters} iterations "
-        f"(last estimate {sigma:.6g})")
+    return float(np.linalg.norm(a, 2))
 
 
 def row_norm_sum(a: np.ndarray) -> float:
@@ -235,6 +204,20 @@ def make_mlp(widths, spectral_caps, seed: int,
     return project(model)
 
 
+def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
+    """w scaled down to spectral norm cap; w itself when the cap is slack.
+
+    ||w||_2 <= ||w||_F, so a Frobenius norm within the cap certifies the
+    spectral cap without an SVD. Non-finite weights fail that test and
+    reach the check in spectral_norm.
+    """
+
+    if np.linalg.norm(w) <= cap:
+        return w
+    sig = spectral_norm(w)
+    return w * (cap / sig) if sig > cap else w
+
+
 def project(model):
     """Scale weights down onto the constraint set; idempotent.
 
@@ -243,19 +226,14 @@ def project(model):
     """
 
     if isinstance(model, LinearModel):
-        a = model.a_mat
-        sig = spectral_norm(a)
-        if sig > model.max_spectral:
-            a = a * (model.max_spectral / sig)
+        a = _cap_spectral(model.a_mat, model.max_spectral)
         cs = row_norm_sum(a)
         if cs > model.max_col_sum:
             a = a * (model.max_col_sum / cs)
         model.a_mat = a
         return model
     for l, (w, cap) in enumerate(zip(model.layer_weights, model.spectral_caps)):
-        sig = spectral_norm(w)
-        if sig > cap:
-            model.layer_weights[l] = w * (cap / sig)
+        model.layer_weights[l] = _cap_spectral(w, cap)
     return model
 
 

@@ -261,7 +261,10 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
 
         used = np.sort(np.unique(np.concatenate(
             [chosen.anchors, chosen.positives, chosen.negatives.ravel()])))
-        assert used.size == n_disjoint * (k + 2)
+        if used.size != n_disjoint * (k + 2):
+            raise PreconditionError(
+                f"{n_disjoint} disjoint tuples touch {used.size} samples, "
+                f"expected {n_disjoint * (k + 2)}")
         sub_pool = pool.subset(used)
 
         iid_cfg = _dataclass_replace(base, regime=REGIME_IID)

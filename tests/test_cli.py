@@ -14,6 +14,7 @@ import struct
 import numpy as np
 import pytest
 
+from uscrl import cli
 from uscrl.cli import main
 from uscrl.dataset import GaussianSpec, generate_gaussian
 from uscrl.model import LinearModel, load_checkpoint, save_checkpoint
@@ -197,6 +198,50 @@ class TestSample:
         assert len(list(cache.glob("pool_*.npz"))) == 1
         assert ((out_a / "tuples.jsonl").read_bytes()
                 == (out_b / "tuples.jsonl").read_bytes())
+
+    def test_pool_cache_round_trip_leaves_no_temp_file(self, tmp_path,
+                                                       monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("USCRL_CACHE_DIR", str(cache))
+        drawn = cli._load_pool(TOY_DS, TOY_SEED)
+        assert [p.suffix for p in cache.iterdir()] == [".npz"]
+        loaded = cli._load_pool(TOY_DS, TOY_SEED)
+        np.testing.assert_array_equal(loaded.x, drawn.x)
+        np.testing.assert_array_equal(loaded.y, drawn.y)
+        assert loaded.num_classes == drawn.num_classes
+        assert [p.suffix for p in cache.iterdir()] == [".npz"]
+
+    def test_failed_pool_cache_write_leaves_no_file(self, tmp_path,
+                                                    monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("USCRL_CACHE_DIR", str(cache))
+
+        def broken_savez(f, **arrays):
+            f.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.np, "savez", broken_savez)
+        with pytest.raises(OSError):
+            cli._load_pool(TOY_DS, TOY_SEED)
+        assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["seed", "centers_seed"])
+    def test_negative_config_seed_is_a_config_error(self, tmp_path, capsys,
+                                                    field):
+        ds = dict(TOY_DS)
+        cfg = {"dataset": ds, "k": 1, "regime": "all_tuples"}
+        (ds if field == "centers_seed" else cfg)[field] = -1
+        code, _ = run(tmp_path, "sample", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples"}
+        code, _ = run(tmp_path, "sample", cfg, "--seed", "-1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
 
 
 class TestEstimate:

@@ -38,6 +38,18 @@ class TestSpectralNorm:
         a = u @ v  # sigma = |u| * |v| = 5 * 3
         assert spectral_norm(a) == pytest.approx(15.0, rel=1e-8)
 
+    @pytest.mark.parametrize("a", [
+        # scaled orthogonal: every singular value equals 2.5
+        2.5 * np.linalg.qr(np.random.default_rng(11).standard_normal((7, 7)))[0],
+        np.eye(6),
+        # two equal leading singular values above a distinct tail
+        np.diag([3.0, 3.0, 1.0, 0.5]) @ np.linalg.qr(
+            np.random.default_rng(12).standard_normal((4, 4)))[0],
+    ], ids=["scaled_orthogonal", "identity", "tied_top_two"])
+    def test_tied_spectra_match_svd(self, a):
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(a) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ConfigError):
             spectral_norm(np.zeros(3))
@@ -110,6 +122,12 @@ class TestInitAndProjection:
         svd_sigma = np.linalg.svd(model.a_mat, compute_uv=False)[0]
         assert svd_sigma <= 2.0 * (1 + 1e-6)
         assert row_norm_sum(model.a_mat) <= 6.0 * (1 + 1e-9)
+        # rank one: the spectral norm equals the Frobenius norm, just above cap
+        mlp = MlpModel([1.001 * np.outer([0.6, 0.8], [1.0, 0.0, 0.0])],
+                       [1.0], ["identity"])
+        project(mlp)
+        svd_sigma = np.linalg.svd(mlp.layer_weights[0], compute_uv=False)[0]
+        assert svd_sigma == pytest.approx(1.0, rel=1e-12)
 
     def test_projection_is_multiplicative(self):
         rng = np.random.default_rng(8)
@@ -137,6 +155,24 @@ class TestInitAndProjection:
         model = LinearModel(a.copy(), max_col_sum=10.0, max_spectral=10.0)
         project(model)
         np.testing.assert_array_equal(model.a_mat, a)
+        # ||W||_F == cap still certifies ||W||_2 <= cap: bit-for-bit unchanged
+        ws = [rng.standard_normal((6, 5)), rng.standard_normal((4, 6))]
+        mlp = MlpModel([w.copy() for w in ws], [np.linalg.norm(w) for w in ws],
+                       ["relu", "identity"])
+        project(mlp)
+        for w0, w1 in zip(ws, mlp.layer_weights):
+            np.testing.assert_array_equal(w1, w0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_projection_rejects_non_finite_weights(self, bad):
+        a = np.zeros((3, 3))
+        a[1, 2] = bad
+        with pytest.raises(NumericError):
+            project(LinearModel(a, max_col_sum=10.0, max_spectral=10.0))
+        model = rand_mlp([3, 4, 2], seed=2)
+        model.layer_weights[1][0, 0] = bad
+        with pytest.raises(NumericError):
+            project(model)
 
     def test_composition_gain(self):
         model = rand_mlp([5, 6, 3], seed=1, cap=2.0)

@@ -6,10 +6,11 @@ import pytest
 from uscrl.dataset import GaussianSpec, generate_gaussian, train_holdout_split
 from uscrl.errors import ConfigError, NumericError, PreconditionError
 from uscrl.loss import default_clip
+from uscrl import trainer
 from uscrl.model import spectral_norm
 from uscrl.trainer import (TrainConfig, compare_regimes,
                            sample_complexity_search, train)
-from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB,
+from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
                           subsample_tuples)
 
 from conftest import make_pool
@@ -184,6 +185,18 @@ class TestCompareRegimes:
         pool = make_pool([3, 3], dim=4, seed=28)
         with pytest.raises(PreconditionError):
             compare_regimes(pool, 1000, 2, [10], [0], small_cfg())
+
+    def test_overlapping_disjoint_draw_is_a_precondition_error(
+            self, monkeypatch):
+        # two "disjoint" tuples that share all three samples
+        overlap = TupleSet(REGIME_IID, 1, anchors=[0, 0], positives=[1, 1],
+                           negatives=[[3], [3]], class_ids=[0, 0])
+        monkeypatch.setattr(trainer, "disjoint_tuples",
+                            lambda *a, **kw: overlap)
+        pool = make_pool([3, 3], dim=4, seed=28)
+        with pytest.raises(PreconditionError, match="touch 3 samples, "
+                                                    "expected 6"):
+            compare_regimes(pool, 2, 1, [10], [0], small_cfg())
 
 
 SEARCH_GSPEC = GaussianSpec.random(3, dim=6, sigma=0.5, seed=30)
