@@ -12,7 +12,7 @@ from .dataset import (ClassStats, GaussianSpec, LabeledDataset, LabeledSample,
                       class_stats, generate_gaussian, load_idx)
 from .errors import (ConfigError, FormatError, NumericError,
                      PreconditionError, SizeError, UscrlError)
-from .loss import LossSpec, default_clip, loss_grad, loss_value, score_vector
+from .loss import LossSpec, default_clip, loss_grad, loss_value
 from .model import (LinearModel, LinearProbe, MlpModel, fit_probe,
                     load_checkpoint, make_linear, make_mlp, project,
                     save_checkpoint, spectral_norm)

@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from importlib import resources
 
 import numpy as np
@@ -29,6 +28,7 @@ from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
                       load_idx, train_holdout_split)
 from .errors import (ConfigError, NumericError, PreconditionError,
                      UscrlError)
+from .fileio import atomic_write
 from .loss import LossSpec, default_clip, tuple_losses
 from .model import load_checkpoint, save_checkpoint
 from .risk import (Exact, MonteCarlo, population_risk_mc, subsampled_risk,
@@ -37,7 +37,7 @@ from .trainer import (TrainConfig, compare_regimes, sample_complexity_search,
                       train)
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      enumerate_all_tuples, greedy_iid_tuples,
-                     subsample_tuples, tuple_mass)
+                     subsample_tuples, tuple_masses)
 
 CSV_SCHEMAS = {
     "bounds_sweep": "bounds-sweep-v1",
@@ -107,16 +107,9 @@ def _load_pool(ds_cfg: dict, seed: int) -> LabeledDataset:
 
 
 def _save_pool(path: str, ds: LabeledDataset) -> None:
-    """Write the pool under a temporary name, then rename it into place,
-    so a concurrent run never reads a partly written file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, x=ds.x, y=ds.y, num_classes=ds.num_classes)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Written by rename, so a concurrent run never reads a partial file."""
+    with atomic_write(path, "wb") as f:
+        np.savez(f, x=ds.x, y=ds.y, num_classes=ds.num_classes)
 
 
 def _loss_spec(cfg: dict, k: int) -> LossSpec:
@@ -154,14 +147,18 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
     if extra:
         manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, manifest)
     return path
 
 
+def _write_json(path: str, obj) -> None:
+    with atomic_write(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -196,7 +193,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
         ts = enumerate_all_tuples(ds, k, cap=cap)
     ts.validate(ds)
     path = os.path.join(out_dir, "tuples.jsonl")
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(ts.to_jsonl())
     print(f"sampled {ts.m_count} tuple(s) [regime={regime}, k={k}]")
     return [path]
@@ -245,15 +242,13 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
                 raise PreconditionError("no valid tuple to enumerate")
             losses = tuple_losses(model, ds, ts.anchors, ts.positives,
                                   ts.negatives, spec)
-            masses = np.array([tuple_mass(ds, k, t) for t in ts])
+            masses = tuple_masses(ds, k, ts.class_ids)
             est_value = float(np.sum(losses * masses))
             from .risk import RiskEstimate
             est = RiskEstimate(est_value, "enumeration_mean", ts.m_count)
 
     path = os.path.join(out_dir, "estimate.json")
-    with open(path, "w") as f:
-        json.dump(est.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, est.to_json())
     return [path]
 
 
@@ -279,9 +274,7 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     if not sweep:
         report = evaluate_theorem(theorem, _bound_inputs(cfg), emp_rad=emp_rad)
         path = os.path.join(out_dir, "bounds.json")
-        with open(path, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(path, report.to_json())
         return [path]
 
     params = sorted(sweep.keys())
@@ -373,9 +366,7 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
     csv_path = os.path.join(out_dir, "complexity.csv")
     _write_csv(csv_path, header, rows)
     json_path = os.path.join(out_dir, "complexity.json")
-    with open(json_path, "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(json_path, result)
     return [csv_path, json_path]
 
 
@@ -399,9 +390,7 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     prefix = os.path.join(out_dir, "checkpoint")
     ck_json, ck_bin = save_checkpoint(report.model, prefix)
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as f:
-        json.dump(report.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, report.to_json())
     return [path, ck_json, ck_bin]
 
 

@@ -110,24 +110,27 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
     return np.einsum("bd,bkd->bk", ra, diff)
 
 
-def score_vector(model, ds, t) -> np.ndarray:
-    """Scores of one tuple under a model (anything with a forward method)."""
-    rows = np.array([t.anchor, t.positive, *t.negatives], dtype=np.int64)
-    reps = model.forward(ds.x[rows])
-    return reps[0] @ reps[1] - reps[2:] @ reps[0]
+def _pool_rows(idx: np.ndarray, n: int):
+    """Sorted distinct rows of idx and each entry's position among them."""
+    # what a sort-based unique with an inverse returns, from two tables
+    # over the pool; the position table is written only at the marked
+    # rows, so a large pool costs two cheap O(n) passes and no cumsum
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    rows = np.flatnonzero(mask)
+    lookup = np.empty(n, dtype=np.int64)
+    lookup[rows] = np.arange(rows.size)
+    return rows, lookup[idx]
 
 
 def tuple_losses(model, ds, anchors, positives, negatives,
                  spec: LossSpec) -> np.ndarray:
     """Per-tuple clipped losses for index columns against a pool."""
-    anchors = np.asarray(anchors, dtype=np.int64)
-    positives = np.asarray(positives, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
-    rows = np.unique(np.concatenate(
-        [anchors.ravel(), positives.ravel(), negatives.ravel()]))
+    m = negatives.shape[0]
+    rows, inverse = _pool_rows(np.concatenate(
+        [np.ravel(anchors), np.ravel(positives), negatives.ravel()]), ds.n)
     reps = model.forward(ds.x[rows])
-    lookup = np.full(ds.n, -1, dtype=np.int64)
-    lookup[rows] = np.arange(rows.size)
-    v = scores_from_reps(reps, lookup[anchors], lookup[positives],
-                         lookup[negatives])
+    v = scores_from_reps(reps, inverse[:m], inverse[m:2 * m],
+                         inverse[2 * m:].reshape(negatives.shape))
     return loss_value(spec, v)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
-from .loss import LossSpec, loss_grad, loss_value, scores_from_reps
+from .fileio import atomic_write
+from .loss import LossSpec, _pool_rows, loss_grad, loss_value
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
@@ -166,14 +167,6 @@ def param_count(model) -> int:
     return int(sum(w.size for w in model.weights))
 
 
-def composition_gain(model) -> float:
-    """Upper bound factor on ||f(x)|| / ||x||: product of sigma_l * xi_l."""
-    gain = 1.0
-    for w, kind in zip(model.weights, model.activations):
-        gain *= spectral_norm(w) * ACTIVATION_XI[kind]
-    return gain
-
-
 def make_linear(in_dim: int, out_dim: int, max_col_sum: float,
                 max_spectral: float, seed: int) -> LinearModel:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, then projected."""
@@ -265,9 +258,13 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
                          negatives, spec: LossSpec):
     """Mean clipped loss over a tuple batch and its exact weight gradients.
 
-    Only the unique samples referenced by the batch are pushed through
-    the network; per-tuple score gradients are scattered back onto those
-    rows before the single backward pass.
+    One gather, one scatter. The distinct pool rows the batch references
+    (found by a mask over the pool, no sort) go through the network once.
+    Their representations are gathered once, as anchor, positive and
+    negative blocks, and those give both the scores and the score
+    gradients. The per-tuple gradient blocks are summed onto their rows by
+    a single np.bincount, anchor terms first, then positive, then negative,
+    before the single backward pass.
     """
 
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -277,25 +274,24 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
         raise ConfigError("negatives must be (batch, k)")
     b, k = negatives.shape
 
-    rows, inverse = np.unique(
-        np.concatenate([anchors, positives, negatives.ravel()]),
-        return_inverse=True)
-    ia = inverse[:b]
-    ip = inverse[b:2 * b]
-    ineg = inverse[2 * b:].reshape(b, k)
-
+    rows, inverse = _pool_rows(
+        np.concatenate([anchors, positives, negatives.ravel()]), ds.n)
     reps, inputs, preacts = _forward_cached(model, ds.x[rows])
-    v = scores_from_reps(reps, ia, ip, ineg)
+    d = reps.shape[1]
+    r = reps[inverse]
+    ra = r[:b]
+    diff = r[b:2 * b, None, :] - r[2 * b:].reshape(b, k, d)
+    v = np.einsum("bd,bkd->bk", ra, diff)
     losses = loss_value(spec, v)
     gv = loss_grad(spec, v) / b  # gradient of the batch mean
 
-    grad_reps = np.zeros_like(reps)
-    ra = reps[ia]
-    diff = reps[ip][:, None, :] - reps[ineg]
-    np.add.at(grad_reps, ia, np.einsum("bk,bkd->bd", gv, diff))
-    np.add.at(grad_reps, ip, gv.sum(axis=1)[:, None] * ra)
-    np.add.at(grad_reps, ineg.ravel(),
-              (-gv[..., None] * ra[:, None, :]).reshape(b * k, -1))
+    blocks = np.empty_like(r)  # score gradient per gathered entry
+    blocks[:b] = np.einsum("bk,bkd->bd", gv, diff)
+    blocks[b:2 * b] = gv.sum(axis=1)[:, None] * ra
+    blocks[2 * b:] = (-gv[..., None] * ra[:, None, :]).reshape(b * k, d)
+    bins = (inverse[:, None] * d + np.arange(d)).ravel()
+    grad_reps = np.bincount(bins, weights=blocks.ravel(),
+                            minlength=reps.size).reshape(reps.shape)
 
     grads = _backprop(model, inputs, preacts, grad_reps)
     if not all(np.isfinite(g).all() for g in grads):
@@ -345,7 +341,7 @@ def fit_probe(reps: np.ndarray, labels: np.ndarray, num_classes: int,
     if train.size == 0:
         train, val = val, val
 
-    present = np.unique(labels[train])
+    present = np.flatnonzero(np.bincount(labels[train]))  # sorted labels
     if present.size < 2:
         warnings.warn("probe training labels contain a single class; "
                       "returning a degenerate constant probe")
@@ -394,12 +390,12 @@ def save_checkpoint(model, path_prefix: str) -> tuple[str, str]:
     meta["version"] = CHECKPOINT_VERSION
     meta["blob"] = path_prefix.rsplit("/", 1)[-1] + ".bin"
     json_path, bin_path = path_prefix + ".json", path_prefix + ".bin"
-    with open(bin_path, "wb") as f:
+    with atomic_write(bin_path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.weights)))
         for w in model.weights:
             f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    with open(json_path, "w") as f:
+    with atomic_write(json_path) as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
     return json_path, bin_path

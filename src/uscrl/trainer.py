@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -234,11 +234,6 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
         wall_seconds=time.perf_counter() - t0, model=model)
 
 
-def _dataclass_replace(cfg: TrainConfig, **kw) -> TrainConfig:
-    from dataclasses import replace
-    return replace(cfg, **kw)
-
-
 def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
                     m_grid, seeds, cfg: TrainConfig,
                     eval_spec: GaussianSpec | None = None,
@@ -255,7 +250,7 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
 
     rows = []
     for seed in seeds:
-        base = _dataclass_replace(cfg, k=k, seed=int(seed))
+        base = replace(cfg, k=k, seed=int(seed))
         chosen = disjoint_tuples(pool, k, n_disjoint,
                                  seed=_child_seed(seed, 10))
 
@@ -267,7 +262,7 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
                 f"expected {n_disjoint * (k + 2)}")
         sub_pool = pool.subset(used)
 
-        iid_cfg = _dataclass_replace(base, regime=REGIME_IID)
+        iid_cfg = replace(base, regime=REGIME_IID)
         report = train(pool, iid_cfg, eval_spec=eval_spec, holdout=holdout,
                        tuples=chosen, with_probe=True)
         rows.append(_regime_row(REGIME_IID, chosen.m_count, seed, n_disjoint,
@@ -276,9 +271,8 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
         for m in m_grid:
             ts = subsample_tuples(sub_pool, k, int(m),
                                   seed=_child_seed(seed, 12, m))
-            sub_cfg = _dataclass_replace(base, regime=REGIME_SUB,
-                                         m_tuples=int(m),
-                                         resample_per_epoch=False)
+            sub_cfg = replace(base, regime=REGIME_SUB, m_tuples=int(m),
+                              resample_per_epoch=False)
             report = train(sub_pool, sub_cfg, eval_spec=eval_spec,
                            holdout=holdout, tuples=ts, with_probe=True)
             rows.append(_regime_row(REGIME_SUB, int(m), seed, n_disjoint, k,
@@ -287,7 +281,7 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
         total, _ = count_all_tuples(sub_pool, k)
         if total <= cfg.cap:
             ts = enumerate_all_tuples(sub_pool, k, cap=cfg.cap)
-            all_cfg = _dataclass_replace(base, regime=REGIME_ALL)
+            all_cfg = replace(base, regime=REGIME_ALL)
             report = train(sub_pool, all_cfg, eval_spec=eval_spec,
                            holdout=holdout, tuples=ts, with_probe=True)
             rows.append(_regime_row(REGIME_ALL, ts.m_count, seed, n_disjoint,
@@ -329,7 +323,7 @@ def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
     spec = cfg.loss_spec()
 
     n_ref = ref_mult * hi
-    ref_cfg = _dataclass_replace(
+    ref_cfg = replace(
         cfg, k=k, regime=REGIME_SUB, m_tuples=min(n_ref * n_ref, m_cap),
         epochs=cfg.epochs * ref_epoch_mult, seed=_child_seed(cfg.seed, 90))
     ds_ref = generate_gaussian(gspec, n_ref, seed=_child_seed(cfg.seed, 91))
@@ -339,7 +333,7 @@ def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
         seed=_child_seed(cfg.seed, 92)).value
 
     def gap_at(n: int, seed: int, log: list) -> float:
-        probe_cfg = _dataclass_replace(
+        probe_cfg = replace(
             cfg, k=k, regime=REGIME_SUB, m_tuples=min(n * n, m_cap),
             seed=_child_seed(seed, 93, n))
         ds = generate_gaussian(gspec, n, seed=_child_seed(seed, 94, n))

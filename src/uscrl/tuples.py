@@ -35,6 +35,7 @@ REGIME_ALL = "all_tuples"
 REGIMES = (REGIME_IID, REGIME_SUB, REGIME_ALL)
 
 DEFAULT_CAP = 10**6
+JSONL_CHUNK = 4096  # rows per formatting pass in TupleSet.to_jsonl
 
 
 class Tuple(NamedTuple):
@@ -111,12 +112,21 @@ class TupleSet:
             raise PreconditionError("negatives must be sorted distinct")
 
     def to_jsonl(self) -> str:
-        lines = []
-        for t in self:
-            lines.append(json.dumps({"class": t.class_id, "anchor": t.anchor,
-                                     "positive": t.positive,
-                                     "negatives": list(t.negatives)}))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON object per line, byte-identical to json.dumps per tuple.
+
+        Rows are formatted JSONL_CHUNK at a time by one %-template, from
+        columns converted to Python ints in bulk.
+        """
+
+        line = ('{"class": %d, "anchor": %d, "positive": %d, "negatives": ['
+                + ", ".join(["%d"] * self.k) + ']}\n')
+        cols = np.column_stack([self.class_ids, self.anchors, self.positives,
+                                self.negatives])
+        parts = []
+        for lo in range(0, self.m_count, JSONL_CHUNK):
+            part = cols[lo:lo + JSONL_CHUNK]
+            parts.append(line * part.shape[0] % tuple(part.ravel().tolist()))
+        return "".join(parts)
 
 
 def tuple_set_from_jsonl(lines: Iterable[str] | str, regime: str,
@@ -159,6 +169,14 @@ def count_all_tuples(ds: LabeledDataset, k: int) -> tuple[int, list[int]]:
     return sum(per_class), per_class
 
 
+def _class_mass(ds: LabeledDataset, k: int, c: int) -> float:
+    n_pos = int(ds.class_sizes()[c])
+    cnt = class_tuple_count(n_pos, ds.n - n_pos, k)
+    if cnt == 0:
+        raise PreconditionError(f"class {c} admits no valid tuple at k={k}")
+    return (n_pos / ds.n) / cnt
+
+
 def tuple_mass(ds: LabeledDataset, k: int, t: Tuple) -> float:
     """Probability mass of one tuple under the natural tuple measure.
 
@@ -166,13 +184,21 @@ def tuple_mass(ds: LabeledDataset, k: int, t: Tuple) -> float:
     whole enumeration gives sum_c rho_hat(c) over feasible classes.
     """
 
-    c = t.class_id
-    n_pos = int(ds.class_sizes()[c])
-    n_neg = ds.n - n_pos
-    cnt = class_tuple_count(n_pos, n_neg, k)
-    if cnt == 0:
-        raise PreconditionError(f"class {c} admits no valid tuple at k={k}")
-    return (n_pos / ds.n) / cnt
+    return _class_mass(ds, k, t.class_id)
+
+
+def tuple_masses(ds: LabeledDataset, k: int, class_ids) -> np.ndarray:
+    """tuple_mass for every tuple of a set, from its class id column.
+
+    The mass depends on the class alone, so a per-class table is indexed
+    by the column; a class that admits no tuple raises as in tuple_mass.
+    """
+
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    table = np.zeros(ds.num_classes)
+    for c in np.unique(class_ids).tolist():
+        table[c] = _class_mass(ds, k, c)
+    return table[class_ids]
 
 
 def greedy_iid_tuples(ds: LabeledDataset, k: int,

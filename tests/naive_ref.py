@@ -115,3 +115,45 @@ def naive_enumeration(pos_idx, neg_idx, k):
             for negs in combinations(list(neg_idx), k):
                 out.append((i, j, tuple(negs)))
     return out
+
+
+def naive_score_grad(kind, v, clip=math.inf, margin=1.0):
+    """d loss / d v_i, written from the loss definitions; 0 when clipped.
+
+    Hinge puts -1 on the first minimal score strictly inside (0, clip).
+    """
+    v = [float(x) for x in v]
+    if kind == "logistic":
+        denom = 1.0 + sum(math.exp(-x) for x in v)
+        if math.log(denom) >= clip:
+            return [0.0] * len(v)
+        return [-math.exp(-x) / denom for x in v]
+    raw = margin - min(v)
+    g = [0.0] * len(v)
+    if 0.0 < raw < clip:
+        g[v.index(min(v))] = -1.0
+    return g
+
+
+def naive_batch_grad(a_mat, x, anchors, positives, negatives, kind, clip,
+                     margin=1.0):
+    """Gradient in A of the mean tuple loss for the linear map x -> A x.
+
+    Per tuple, v_i = x_a^T A^T A d_i with d_i = x_p - x_i-, so
+    dv_i/dA = A (x_a d_i^T + d_i x_a^T); the chain rule sums these with
+    the score gradients, one tuple at a time.
+    """
+    a_mat = np.asarray(a_mat, dtype=np.float64)
+    total = np.zeros_like(a_mat)
+    for t in range(len(anchors)):
+        xa = x[anchors[t]]
+        ra = a_mat @ xa
+        v, ds = [], []
+        for j in negatives[t]:
+            d = x[positives[t]] - x[j]
+            v.append(float(ra @ (a_mat @ d)))
+            ds.append(d)
+        for gi, d in zip(naive_score_grad(kind, v, clip, margin), ds):
+            if gi:
+                total += gi * (a_mat @ (np.outer(xa, d) + np.outer(d, xa)))
+    return total / len(anchors)

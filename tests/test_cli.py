@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from uscrl import cli
 from uscrl.cli import main
 from uscrl.dataset import GaussianSpec, generate_gaussian
+from uscrl.fileio import atomic_write
 from uscrl.model import LinearModel, load_checkpoint, save_checkpoint
 from uscrl.tuples import count_all_tuples
 
@@ -242,6 +244,48 @@ class TestSample:
         assert code == 2
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(path)) as f:
+                f.write("partial")
+                f.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_replaces_with_umask_permissions(self, tmp_path):
+        path = tmp_path / "result.bin"
+        path.write_bytes(b"old")
+        with atomic_write(str(path), "wb") as f:
+            f.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [path]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_cli_result_survives_a_failed_rerun(self, tmp_path, monkeypatch):
+        cfg = {"theorem": "basic", "n": 200, "num_classes": 3, "k": 2,
+               "delta": 0.05, "loss_bound": 4.0, "class_k": 2.0}
+        code, out = run(tmp_path, "bounds", cfg)
+        assert code == 0
+        before = (out / "bounds.json").read_bytes()
+
+        def broken_dump(obj, f, **kw):
+            f.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            run(tmp_path, "bounds", cfg)
+        assert (out / "bounds.json").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["bounds.json",
+                                                         "manifest.json"]
 
 
 class TestEstimate:

@@ -7,9 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from uscrl.errors import ConfigError
 from uscrl.loss import (LOSS_KINDS, LossSpec, default_clip, loss_grad,
-                        loss_value, score_vector, scores_from_reps,
-                        tuple_losses)
-from uscrl.tuples import enumerate_all_tuples
+                        loss_value, scores_from_reps, tuple_losses)
+from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
 from naive_ref import naive_loss, naive_scores
@@ -173,14 +172,6 @@ class TestScores:
             want = naive_scores(reps, anchors[b], positives[b], negatives[b])
             np.testing.assert_allclose(got[b], want, rtol=1e-14)
 
-    def test_score_vector_matches(self, toy_pool, toy_model):
-        ts = enumerate_all_tuples(toy_pool, k=1)
-        t = ts[5]
-        v = score_vector(toy_model, toy_pool, t)
-        reps = toy_model.forward(toy_pool.x)
-        want = naive_scores(reps, t.anchor, t.positive, t.negatives)
-        np.testing.assert_allclose(v, want, rtol=1e-14)
-
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))
         ts = enumerate_all_tuples(toy_pool, k=1)
@@ -190,6 +181,25 @@ class TestScores:
         want = [naive_loss("logistic",
                            naive_scores(reps, t.anchor, t.positive, t.negatives),
                            clip=spec.clip)
+                for t in ts]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+    def test_tuple_losses_with_untouched_rows(self):
+        # a few tuples against a large pool leave most rows unreferenced
+        ds = make_pool([300, 300, 200], dim=4, seed=8)
+        model = rand_linear(4, 3, seed=9)
+        spec = LossSpec(kind="hinge", clip=2.0, margin=1.5)
+        ts = subsample_tuples(ds, 2, 10, seed=10)
+        used = np.unique(np.concatenate([ts.anchors, ts.positives,
+                                         ts.negatives.ravel()]))
+        assert used.size < ds.n // 10
+        got = tuple_losses(model, ds, ts.anchors, ts.positives,
+                           ts.negatives, spec)
+        reps = model.forward(ds.x)
+        want = [naive_loss("hinge",
+                           naive_scores(reps, t.anchor, t.positive, t.negatives),
+                           clip=2.0, margin=1.5)
                 for t in ts]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 

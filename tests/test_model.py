@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from uscrl.errors import ConfigError, FormatError, NumericError
-from uscrl.loss import LossSpec, tuple_losses
-from uscrl.model import (ACTIVATION_XI, CHECKPOINT_MAGIC, LinearModel,
-                         LinearProbe, MlpModel, composition_gain, fit_probe,
-                         load_checkpoint, make_linear, make_mlp, param_count,
-                         project, row_norm_sum, save_checkpoint,
-                         spectral_norm, tuple_batch_backward)
+from uscrl.loss import LossSpec, loss_value, tuple_losses
+from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, LinearProbe,
+                         MlpModel, fit_probe, load_checkpoint, make_linear,
+                         make_mlp, param_count, project, row_norm_sum,
+                         save_checkpoint, spectral_norm,
+                         tuple_batch_backward)
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear, rand_mlp
+from naive_ref import naive_batch_grad
 
 
 class TestSpectralNorm:
@@ -174,13 +175,6 @@ class TestInitAndProjection:
         with pytest.raises(NumericError):
             project(model)
 
-    def test_composition_gain(self):
-        model = rand_mlp([5, 6, 3], seed=1, cap=2.0)
-        want = 1.0
-        for w, kind in zip(model.layer_weights, model.layer_activations):
-            want *= np.linalg.svd(w, compute_uv=False)[0] * ACTIVATION_XI[kind]
-        assert composition_gain(model) == pytest.approx(want, rel=1e-6)
-
 
 def _batch_loss(model, ds, anchors, positives, negatives, spec):
     return float(tuple_losses(model, ds, anchors, positives, negatives,
@@ -262,6 +256,38 @@ class TestBackward:
         for gb, gs in zip(grads, singles):
             np.testing.assert_allclose(gb, gs / ts.m_count, rtol=1e-12,
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "hinge"])
+    @pytest.mark.parametrize("pool", ["every_row_repeated", "mostly_untouched"])
+    def test_linear_gradient_matches_loop_oracle(self, k, kind, pool):
+        if pool == "every_row_repeated":
+            # the whole enumeration twice: every row, every tuple repeated
+            ds = make_pool([4, 3, 3], dim=5, seed=40)
+            ts = enumerate_all_tuples(ds, k)
+            ts = ts.select(np.concatenate([np.arange(ts.m_count)] * 2))
+        else:
+            ds = make_pool([700, 700, 600], dim=5, seed=41)
+            ts = subsample_tuples(ds, k, 24, seed=42)
+        used = np.unique(np.concatenate([ts.anchors, ts.positives,
+                                         ts.negatives.ravel()]))
+        assert (used.size == ds.n) == (pool == "every_row_repeated")
+        model = rand_linear(5, 4, seed=43)
+        reps = model.forward(ds.x)
+        v = np.einsum("bd,bkd->bk", reps[ts.anchors],
+                      reps[ts.positives][:, None, :] - reps[ts.negatives])
+        raw = loss_value(LossSpec(kind=kind, clip=1e9), v)
+        # a clip at the median raw loss puts about half the tuples on the
+        # zero-gradient plateau
+        spec = LossSpec(kind=kind, clip=float(np.median(raw)))
+        assert 0 < (raw >= spec.clip).sum() < ts.m_count
+        grads, loss = tuple_batch_backward(model, ds, ts.anchors,
+                                           ts.positives, ts.negatives, spec)
+        want = naive_batch_grad(model.a_mat, ds.x, ts.anchors, ts.positives,
+                                ts.negatives, kind, spec.clip)
+        np.testing.assert_allclose(grads[0], want, rtol=1e-12)
+        assert loss == pytest.approx(np.minimum(raw, spec.clip).mean(),
+                                     rel=1e-12)
 
     def test_rejects_flat_negatives(self):
         ds = make_pool([3, 3], dim=3, seed=0)

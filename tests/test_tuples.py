@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uscrl import tuples as tuples_mod
 from uscrl.errors import ConfigError, PreconditionError, SizeError
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, Tuple, TupleSet,
                           class_tuple_count, count_all_tuples,
                           disjoint_tuples, draw_ksubsets, draw_ordered_pairs,
                           enumerate_all_tuples, enumerate_class_tuples,
                           greedy_iid_tuples, subsample_tuples, tuple_mass,
-                          tuple_set_from_jsonl)
+                          tuple_masses, tuple_set_from_jsonl)
 
 from conftest import make_pool
 from naive_ref import naive_enumeration
@@ -47,6 +50,29 @@ class TestTupleSet:
         np.testing.assert_array_equal(back.positives, ts.positives)
         np.testing.assert_array_equal(back.negatives, ts.negatives)
         np.testing.assert_array_equal(back.class_ids, ts.class_ids)
+
+    @staticmethod
+    def _jsonl_per_row(ts):
+        lines = [json.dumps({"class": t.class_id, "anchor": t.anchor,
+                             "positive": t.positive,
+                             "negatives": list(t.negatives)}) for t in ts]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_jsonl_matches_per_row_json_dumps(self, k, monkeypatch):
+        ds = make_pool([5, 4, 3], seed=5)
+        ts = enumerate_all_tuples(ds, k)
+        want = self._jsonl_per_row(ts)
+        assert ts.to_jsonl() == want
+        # chunks that do not divide the row count give the same bytes
+        monkeypatch.setattr(tuples_mod, "JSONL_CHUNK", 11)
+        assert ts.m_count % 11
+        assert ts.to_jsonl() == want
+
+    def test_jsonl_of_empty_set_is_empty(self):
+        ts = enumerate_all_tuples(make_pool([1, 1], seed=0), 1)
+        assert ts.m_count == 0
+        assert ts.to_jsonl() == self._jsonl_per_row(ts) == ""
 
     def test_getitem_and_iter(self, toy_pool):
         ts = greedy_iid_tuples(toy_pool, k=1)
@@ -363,6 +389,19 @@ class TestTupleMass:
         t = ts[0]
         assert t.class_id == 0
         assert tuple_mass(toy_pool, 1, t) == pytest.approx((3 / 8) / 30, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_vector_masses_equal_the_loop(self, k):
+        ds = make_pool([1, 4, 3, 5], seed=12)
+        ts = enumerate_all_tuples(ds, k)
+        want = np.array([tuple_mass(ds, k, t) for t in ts])
+        got = tuple_masses(ds, k, ts.class_ids)
+        assert got.tobytes() == want.tobytes()
+
+    def test_vector_masses_raise_for_an_infeasible_class(self):
+        ds = make_pool([1, 3], seed=0)
+        with pytest.raises(PreconditionError):
+            tuple_masses(ds, 1, [1, 0, 1])
 
     def test_infeasible_class_raises(self):
         ds = make_pool([1, 3], seed=0)
