@@ -8,8 +8,8 @@ experiment protocols tying them together.
 
 __version__ = "0.1.0"
 
-from .dataset import (ClassStats, GaussianSpec, LabeledDataset, LabeledSample,
-                      class_stats, generate_gaussian, load_idx)
+from .dataset import (ClassStats, GaussianSpec, LabeledDataset, class_stats,
+                      generate_gaussian, load_idx)
 from .errors import (ConfigError, FormatError, NumericError,
                      PreconditionError, SizeError, UscrlError)
 from .loss import LossSpec, default_clip, loss_grad, loss_value

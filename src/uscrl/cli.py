@@ -461,7 +461,7 @@ def main(argv=None) -> int:
                                    started)
         print(f"wrote {len(outputs)} output(s) and {manifest}")
         return 0
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConfigError as e:

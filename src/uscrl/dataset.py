@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-
-
-class LabeledSample(NamedTuple):
-    """A single feature vector with its integer class label."""
-
-    x: np.ndarray
-    y: int
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.x[i], int(self.y[i]))
 
     def class_indices(self, c: int) -> np.ndarray:
         """Sorted indices of the samples labeled c."""

@@ -6,6 +6,15 @@ log(1 + sum_i exp(-v_i)); the hinge variant is max(0, margin - min_i v_i).
 Both are nonincreasing in every score, 1-Lipschitz in the sup norm, and
 optionally clipped to [0, clip]. Inside the clipped region the gradient
 is exactly zero.
+
+The kernel works on k-major scores: a C-contiguous (k, batch) array. k is
+small (1 to 3 in practice), and numpy reduces a short trailing axis one
+row at a time, so every max, min and sum over the k negatives is instead
+an elementwise op across k rows. For k < 8 this adds the negatives in the
+same order as a sum over a trailing axis would (numpy sums only 8 or more
+terms pairwise), so the layout changes no value. One pass gives the loss
+and, when asked, its gradient; the public ``loss_value`` and
+``loss_grad`` keep the (k,) / (batch, k) layout and transpose once.
 """
 
 from __future__ import annotations
@@ -53,24 +62,50 @@ class LossSpec:
         return self.clip
 
 
-def _raw_logistic(v: np.ndarray) -> np.ndarray:
-    # log(1 + sum_i exp(-v_i)) = logsumexp([0, -v]) computed stably.
-    neg = -v
-    m = np.maximum(neg.max(axis=-1), 0.0)
-    s = np.exp(-m) + np.exp(neg - m[..., None]).sum(axis=-1)
-    return m + np.log(s)
+def _kmajor_raw(spec: LossSpec, vt: np.ndarray):
+    """Unclipped loss of k-major scores vt (k, batch), and for logistic its
+    exp terms and denominator; hinge gives margin - min_i v_i, unfloored."""
+    if spec.kind == "hinge":
+        return spec.margin - vt.min(axis=0), None, None
+    e = np.negative(vt)  # log(1 + sum_i exp(-v_i)) = logsumexp([0, -v])
+    m = np.maximum(e.max(axis=0), 0.0)
+    e -= m
+    np.exp(e, out=e)
+    denom = np.exp(-m)
+    denom += e.sum(axis=0)
+    return m + np.log(denom), e, denom
+
+
+def _clipped(spec: LossSpec, raw: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(0.0, raw) if spec.kind == "hinge" else raw,
+                      spec.clip)
+
+
+def _value_and_grad(spec: LossSpec, vt: np.ndarray):
+    """Clipped losses (batch,) and their gradient (k, batch), as loss_grad."""
+    raw, e, denom = _kmajor_raw(spec, vt)
+    if e is None:
+        g = np.zeros_like(vt)
+        cols = np.flatnonzero((raw > 0) & (raw < spec.clip))
+        if cols.size:
+            g[np.argmin(vt[:, cols], axis=0), cols] = -1.0
+    else:  # d/dv_i = -exp(-v_i) / (1 + sum_j exp(-v_j))
+        g = np.negative(np.divide(e, denom, out=e), out=e)
+        g[:, raw >= spec.clip] = 0.0
+    return _clipped(spec, raw), g
+
+
+def _to_kmajor(v):
+    """Scores (k,) or (batch, k) as a C-contiguous (k, batch) array."""
+    v = np.asarray(v, dtype=np.float64)
+    scalar = v.ndim == 1
+    return np.ascontiguousarray((v[None, :] if scalar else v).T), scalar
 
 
 def loss_value(spec: LossSpec, v) -> np.ndarray | float:
     """Clipped loss of score vectors; v is (k,) or (batch, k)."""
-    v = np.asarray(v, dtype=np.float64)
-    scalar = v.ndim == 1
-    vv = v[None, :] if scalar else v
-    if spec.kind == "logistic":
-        raw = _raw_logistic(vv)
-    else:
-        raw = np.maximum(0.0, spec.margin - vv.min(axis=-1))
-    out = np.minimum(raw, spec.clip)
+    vt, scalar = _to_kmajor(v)
+    out = _clipped(spec, _kmajor_raw(spec, vt)[0])
     return float(out[0]) if scalar else out
 
 
@@ -81,32 +116,16 @@ def loss_grad(spec: LossSpec, v) -> np.ndarray:
     coordinate when strictly inside (0, clip) and 0 at the kinks.
     """
 
-    v = np.asarray(v, dtype=np.float64)
-    scalar = v.ndim == 1
-    vv = v[None, :] if scalar else v
-    if spec.kind == "logistic":
-        # d/dv_i = -exp(-v_i) / (1 + sum_j exp(-v_j)), softmax-style stable.
-        neg = -vv
-        m = np.maximum(neg.max(axis=-1), 0.0)
-        e = np.exp(neg - m[..., None])
-        denom = np.exp(-m) + e.sum(axis=-1)
-        g = -e / denom[..., None]
-        raw = m + np.log(denom)
-        g[raw >= spec.clip] = 0.0
-    else:
-        raw = spec.margin - vv.min(axis=-1)
-        g = np.zeros_like(vv)
-        active = (raw > 0) & (raw < spec.clip)
-        rows = np.flatnonzero(active)
-        if rows.size:
-            g[rows, np.argmin(vv[rows], axis=-1)] = -1.0
-    return g[0] if scalar else g
+    vt, scalar = _to_kmajor(v)
+    g = _value_and_grad(spec, vt)[1]
+    return g[:, 0] if scalar else np.ascontiguousarray(g.T)
 
 
 def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndarray:
     """Score matrix (batch, k) from row representations and index columns."""
-    ra = reps[anchors]
-    diff = reps[positives][:, None, :] - reps[negatives]
+    ra = np.take(reps, anchors, axis=0)
+    diff = (np.take(reps, positives, axis=0)[:, None, :]
+            - np.take(reps, negatives, axis=0))
     return np.einsum("bd,bkd->bk", ra, diff)
 
 
@@ -130,7 +149,7 @@ def tuple_losses(model, ds, anchors, positives, negatives,
     m = negatives.shape[0]
     rows, inverse = _pool_rows(np.concatenate(
         [np.ravel(anchors), np.ravel(positives), negatives.ravel()]), ds.n)
-    reps = model.forward(ds.x[rows])
+    reps = model.forward(np.take(ds.x, rows, axis=0))
     v = scores_from_reps(reps, inverse[:m], inverse[m:2 * m],
                          inverse[2 * m:].reshape(negatives.shape))
     return loss_value(spec, v)

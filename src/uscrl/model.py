@@ -9,9 +9,9 @@ Two families share one forward/backward core:
 
 Constraints are enforced by multiplicative projection after every SGD
 step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
-when the Frobenius norm already certifies the cap. Backward computes the
-exact gradient of the mean clipped tuple loss, including the zero
-gradient on clipped tuples.
+when the Frobenius norm or a Gershgorin bound on the Gram matrix
+already certifies the cap. Backward computes the exact gradient of the
+mean clipped tuple loss, including the zero gradient on clipped tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import atomic_write
-from .loss import LossSpec, _pool_rows, loss_grad, loss_value
+from .loss import LossSpec, _pool_rows, _value_and_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
@@ -40,14 +40,6 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if kind == "identity":
         return z
-    raise ConfigError(f"unknown activation {kind!r}")
-
-
-def _activation_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "identity":
-        return np.ones_like(z)
     raise ConfigError(f"unknown activation {kind!r}")
 
 
@@ -200,13 +192,19 @@ def make_mlp(widths, spectral_caps, seed: int,
 def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
     """w scaled down to spectral norm cap; w itself when the cap is slack.
 
-    ||w||_2 <= ||w||_F, so a Frobenius norm within the cap certifies the
-    spectral cap without an SVD. Non-finite weights fail that test and
-    reach the check in spectral_norm.
+    Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2,
+    the top eigenvalue of the smaller Gram matrix, is at most its largest
+    absolute row sum (Gershgorin). Non-finite weights fail the first and
+    skip the second, so they reach the check in spectral_norm.
     """
 
-    if np.linalg.norm(w) <= cap:
+    fro = np.linalg.norm(w)
+    if fro <= cap:
         return w
+    if math.isfinite(fro):
+        gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
+        if np.abs(gram).sum(axis=1).max() <= cap * cap:
+            return w
     sig = spectral_norm(w)
     return w * (cap / sig) if sig > cap else w
 
@@ -247,7 +245,8 @@ def _backprop(model, inputs, preacts, grad_out):
     grads = [None] * len(model.weights)
     delta = grad_out
     for l in range(len(model.weights) - 1, -1, -1):
-        delta = delta * _activation_deriv(model.activations[l], preacts[l])
+        if model.activations[l] == "relu":
+            delta = delta * (preacts[l] > 0.0)
         grads[l] = delta.T @ inputs[l]
         if l > 0:
             delta = delta @ model.weights[l]
@@ -258,13 +257,11 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
                          negatives, spec: LossSpec):
     """Mean clipped loss over a tuple batch and its exact weight gradients.
 
-    One gather, one scatter. The distinct pool rows the batch references
-    (found by a mask over the pool, no sort) go through the network once.
-    Their representations are gathered once, as anchor, positive and
-    negative blocks, and those give both the scores and the score
-    gradients. The per-tuple gradient blocks are summed onto their rows by
-    a single np.bincount, anchor terms first, then positive, then negative,
-    before the single backward pass.
+    The batch's distinct pool rows (a mask, no sort) go through the network
+    once; np.take gathers their representations tuple-major for scores and
+    score gradients, one k-major pass gives losses and gradient, and one
+    np.bincount sums the blocks onto rows, anchor terms first, then
+    positive, then negative, before the single backward pass.
     """
 
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -276,18 +273,18 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
 
     rows, inverse = _pool_rows(
         np.concatenate([anchors, positives, negatives.ravel()]), ds.n)
-    reps, inputs, preacts = _forward_cached(model, ds.x[rows])
+    reps, inputs, preacts = _forward_cached(model, np.take(ds.x, rows, axis=0))
     d = reps.shape[1]
-    r = reps[inverse]
+    r = np.take(reps, inverse, axis=0)
     ra = r[:b]
     diff = r[b:2 * b, None, :] - r[2 * b:].reshape(b, k, d)
     v = np.einsum("bd,bkd->bk", ra, diff)
-    losses = loss_value(spec, v)
-    gv = loss_grad(spec, v) / b  # gradient of the batch mean
+    losses, gt = _value_and_grad(spec, np.ascontiguousarray(v.T))
+    gv = np.divide(gt, b, out=gt).T  # gradient of the batch mean, (b, k)
 
     blocks = np.empty_like(r)  # score gradient per gathered entry
     blocks[:b] = np.einsum("bk,bkd->bd", gv, diff)
-    blocks[b:2 * b] = gv.sum(axis=1)[:, None] * ra
+    blocks[b:2 * b] = gt.sum(axis=0)[:, None] * ra
     blocks[2 * b:] = (-gv[..., None] * ra[:, None, :]).reshape(b * k, d)
     bins = (inverse[:, None] * d + np.arange(d)).ravel()
     grad_reps = np.bincount(bins, weights=blocks.ravel(),
@@ -296,7 +293,7 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     grads = _backprop(model, inputs, preacts, grad_reps)
     if not all(np.isfinite(g).all() for g in grads):
         raise NumericError("non-finite gradient in tuple batch backward")
-    return grads, float(losses.mean())
+    return grads, float(losses.sum() / b)
 
 
 @dataclass

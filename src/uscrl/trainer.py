@@ -190,8 +190,9 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
             idx = order[lo:lo + cfg.batch_size]
             try:
                 grads, batch_loss = tuple_batch_backward(
-                    model, ds, ts.anchors[idx], ts.positives[idx],
-                    ts.negatives[idx], spec)
+                    model, ds, np.take(ts.anchors, idx),
+                    np.take(ts.positives, idx),
+                    np.take(ts.negatives, idx, axis=0), spec)
             except NumericError as e:
                 raise NumericError(
                     f"{e} at step {n_steps} (epoch {epoch})") from None

@@ -18,11 +18,10 @@ regimes produce tuple sets:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -127,27 +126,6 @@ class TupleSet:
             part = cols[lo:lo + JSONL_CHUNK]
             parts.append(line * part.shape[0] % tuple(part.ravel().tolist()))
         return "".join(parts)
-
-
-def tuple_set_from_jsonl(lines: Iterable[str] | str, regime: str,
-                         k: int | None = None) -> TupleSet:
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    rows = [json.loads(s) for s in lines if s.strip()]
-    if k is None:
-        if not rows:
-            raise ConfigError("cannot infer k from an empty tuple file")
-        k = len(rows[0]["negatives"])
-    m = len(rows)
-    anchors = np.array([r["anchor"] for r in rows], dtype=np.int64)
-    positives = np.array([r["positive"] for r in rows], dtype=np.int64)
-    class_ids = np.array([r["class"] for r in rows], dtype=np.int64)
-    negatives = np.zeros((m, k), dtype=np.int64)
-    for i, r in enumerate(rows):
-        if len(r["negatives"]) != k:
-            raise ConfigError(f"tuple line {i}: expected {k} negatives")
-        negatives[i] = np.sort(np.asarray(r["negatives"], dtype=np.int64))
-    return TupleSet(regime, k, anchors, positives, negatives, class_ids)
 
 
 def _empty_set(regime: str, k: int) -> TupleSet:

@@ -157,3 +157,34 @@ def naive_batch_grad(a_mat, x, anchors, positives, negatives, kind, clip,
             if gi:
                 total += gi * (a_mat @ (np.outer(xa, d) + np.outer(d, xa)))
     return total / len(anchors)
+
+
+def trailing_loss_and_grad(kind, v, clip=math.inf, margin=1.0):
+    """Clipped losses and score gradients of (batch, k) scores, row by row.
+
+    The stable formulas with every reduction over the k scores of one
+    row: logistic m = max(0, max_i -v_i), denominator
+    exp(-m) + sum_i exp(-v_i - m), loss m + log(denominator), gradient
+    -exp(-v_i - m) / denominator; hinge margin - min_i v_i with -1 on the
+    first minimal score strictly inside (0, clip). Gradients are 0 on
+    clipped rows.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    losses = np.empty(v.shape[0])
+    grads = np.zeros_like(v)
+    for t, row in enumerate(v):
+        if kind == "logistic":
+            neg = -row
+            m = np.maximum(neg.max(), 0.0)
+            e = np.exp(neg - m)
+            denom = np.exp(-m) + e.sum()
+            raw = m + np.log(denom)
+            if raw < clip:
+                grads[t] = -e / denom
+            losses[t] = min(raw, clip)
+        else:
+            raw = margin - row.min()
+            if 0.0 < raw < clip:
+                grads[t, int(np.argmin(row))] = -1.0
+            losses[t] = min(max(0.0, raw), clip)
+    return losses, grads

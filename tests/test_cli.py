@@ -147,6 +147,22 @@ class TestSample:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        code = main(["sample", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples", "seed": TOY_SEED}
+        (tmp_path / "out").write_text("not a directory")
+        code, _ = run(tmp_path, "sample", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (tmp_path / "out").read_text() == "not a directory"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples", "bogus": 1}
         code, _ = run(tmp_path, "sample", cfg)
@@ -281,8 +297,8 @@ class TestAtomicWrite:
             raise OSError("disk full")
 
         monkeypatch.setattr(cli.json, "dump", broken_dump)
-        with pytest.raises(OSError):
-            run(tmp_path, "bounds", cfg)
+        code, _ = run(tmp_path, "bounds", cfg)
+        assert code == 2
         assert (out / "bounds.json").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["bounds.json",
                                                          "manifest.json"]

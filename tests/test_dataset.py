@@ -60,7 +60,6 @@ class TestLabeledDataset:
         ds = make_pool([3, 4, 2])
         np.testing.assert_array_equal(ds.class_sizes(), [3, 4, 2])
         assert len(ds) == 9
-        assert ds.sample(3).y == 1
 
     def test_subset_reindexes(self):
         ds = make_pool([3, 3], dim=2, seed=2)

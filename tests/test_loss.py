@@ -11,7 +11,7 @@ from uscrl.loss import (LOSS_KINDS, LossSpec, default_clip, loss_grad,
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
-from naive_ref import naive_loss, naive_scores
+from naive_ref import naive_loss, naive_scores, trailing_loss_and_grad
 
 # Frozen high-precision reference values (50-digit arithmetic, rounded to
 # the nearest float64).
@@ -149,6 +149,41 @@ class TestBatchConsistency:
         gr = np.stack([loss_grad(spec, v[i]) for i in range(17)])
         np.testing.assert_array_equal(gb, gr)
 
+    @staticmethod
+    def _hinge_scores(rng, k, margin, clip):
+        """Scores with tied minima, rows at both kinks and clipped rows."""
+        v = rng.uniform(-2.0, 3.0, size=(64, k))
+        v[:8] = v[:8, :1]                       # every score tied
+        v[8:16, -1] = v[8:16, 0]                # last tied with first
+        v[16:24, 0] = margin                    # kink at 0
+        v[16:24, 1:] = margin + 1.0
+        v[24:32, -1] = margin - clip            # kink at the clip
+        v[24:32, :-1] = margin - clip + 0.5
+        v[32:40] -= 2.0 * clip                  # clipped
+        return v
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    def test_kmajor_matches_trailing_oracle(self, k):
+        rng = np.random.default_rng(40 + k)
+        margin, clip = 1.5, 2.0
+        logistic = rng.normal(scale=3.0, size=(200, k))
+        logistic[:20] -= 4.0                   # clipped rows
+        cases = [("logistic", logistic, 2.5), ("logistic", logistic, math.inf),
+                 ("hinge", self._hinge_scores(rng, k, margin, clip), clip)]
+        for kind, v, c in cases:
+            spec = LossSpec(kind=kind, clip=c, margin=margin)
+            want_l, want_g = trailing_loss_and_grad(kind, v, c, margin)
+            got_l, got_g = loss_value(spec, v), loss_grad(spec, v)
+            assert got_l.shape == (v.shape[0],) and got_g.shape == v.shape
+            if k < 8:
+                assert got_l.tobytes() == want_l.tobytes()
+                assert got_g.tobytes() == want_g.tobytes()
+            else:  # numpy sums 8 or more terms pairwise
+                np.testing.assert_allclose(got_l, want_l, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(got_g, want_g, rtol=1e-14, atol=0)
+            if kind == "hinge":
+                assert (want_g[:40] != 0).any() and (want_g[:40] == 0).any()
+
     def test_matches_naive_loss(self):
         rng = np.random.default_rng(2)
         for kind in LOSS_KINDS:
@@ -169,6 +204,15 @@ class TestScores:
         negatives = np.array([[4, 5], [6, 7]])
         got = scores_from_reps(reps, anchors, positives, negatives)
         for b in range(2):
+            want = naive_scores(reps, anchors[b], positives[b], negatives[b])
+            np.testing.assert_allclose(got[b], want, rtol=1e-14)
+        # k = 3, with negatives that repeat rows within and across tuples
+        anchors = np.array([0, 2, 9])
+        positives = np.array([1, 3, 0])
+        negatives = np.array([[4, 4, 5], [5, 6, 5], [4, 8, 8]])
+        got = scores_from_reps(reps, anchors, positives, negatives)
+        assert got.shape == (3, 3)
+        for b in range(3):
             want = naive_scores(reps, anchors[b], positives[b], negatives[b])
             np.testing.assert_allclose(got[b], want, rtol=1e-14)
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uscrl import model as model_mod
 from uscrl.errors import ConfigError, FormatError, NumericError
 from uscrl.loss import LossSpec, loss_value, tuple_losses
 from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, LinearProbe,
@@ -168,12 +169,74 @@ class TestInitAndProjection:
     def test_projection_rejects_non_finite_weights(self, bad):
         a = np.zeros((3, 3))
         a[1, 2] = bad
-        with pytest.raises(NumericError):
-            project(LinearModel(a, max_col_sum=10.0, max_spectral=10.0))
-        model = rand_mlp([3, 4, 2], seed=2)
-        model.layer_weights[1][0, 0] = bad
-        with pytest.raises(NumericError):
-            project(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the NumericError, no warning
+            with pytest.raises(NumericError):
+                project(LinearModel(a, max_col_sum=10.0, max_spectral=10.0))
+            model = rand_mlp([3, 4, 2], seed=2)
+            model.layer_weights[1][0, 0] = bad
+            with pytest.raises(NumericError):
+                project(model)
+
+
+def _gram_bound(w):
+    """Largest absolute row sum of the smaller Gram matrix of w."""
+    gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
+    return float(np.abs(gram).sum(axis=1).max())
+
+
+def _no_svd(a):
+    raise AssertionError("spectral_norm called on a certified layer")
+
+
+class TestGramCertificate:
+    @pytest.mark.parametrize("kind", ["random", "tied", "rank_one", "tall",
+                                      "wide"])
+    def test_bound_dominates_sigma_squared(self, kind, monkeypatch):
+        rng = np.random.default_rng(11)
+        w = {"random": lambda: rng.standard_normal((6, 6)),
+             "tied": lambda: 3.0 * np.linalg.qr(
+                 rng.standard_normal((5, 5)))[0],
+             "rank_one": lambda: np.outer(rng.standard_normal(4),
+                                          rng.standard_normal(7)),
+             "tall": lambda: rng.standard_normal((40, 3)),
+             "wide": lambda: rng.standard_normal((3, 40))}[kind]()
+        sigma = np.linalg.svd(w, compute_uv=False)[0]
+        bound = _gram_bound(w)
+        assert bound >= sigma * sigma * (1 - 1e-12)
+        # a cap at the bound is certified without an SVD and leaves w as is
+        monkeypatch.setattr(model_mod, "spectral_norm", _no_svd)
+        cap = math.sqrt(bound) * (1 + 1e-12)
+        assert model_mod._cap_spectral(w, cap) is w
+
+    @pytest.mark.parametrize("kind", ["diagonal", "random", "wide"])
+    def test_just_above_cap_is_still_scaled(self, kind):
+        # diagonal: the Gram bound equals sigma^2, the tightest case
+        rng = np.random.default_rng(13)
+        w = {"diagonal": lambda: np.diag([1.0, 0.5, 0.3]),
+             "random": lambda: rng.standard_normal((7, 5)),
+             "wide": lambda: rng.standard_normal((4, 30))}[kind]()
+        sigma = np.linalg.svd(w, compute_uv=False)[0]
+        cap = sigma / (1 + 1e-9)
+        assert np.linalg.norm(w) > cap
+        out = model_mod._cap_spectral(w, cap)
+        assert out is not w
+        assert np.linalg.svd(out, compute_uv=False)[0] == pytest.approx(
+            cap, rel=1e-12)
+
+    def test_certified_mlp_unchanged_bit_for_bit(self, monkeypatch):
+        # uniform init of a 64x96 layer: Frobenius ~4.6, Gram bound ~1.4^2
+        rng = np.random.default_rng(12)
+        ws = [rng.uniform(-1, 1, size=(64, 96)) / math.sqrt(96),
+              rng.uniform(-1, 1, size=(8, 64)) / math.sqrt(64)]
+        caps = [0.5 * (np.linalg.norm(w) + math.sqrt(_gram_bound(w)))
+                for w in ws]
+        assert all(np.linalg.norm(w) > c for w, c in zip(ws, caps))
+        monkeypatch.setattr(model_mod, "spectral_norm", _no_svd)
+        mlp = MlpModel([w.copy() for w in ws], caps, ["relu", "identity"])
+        project(mlp)
+        for w0, w1 in zip(ws, mlp.layer_weights):
+            np.testing.assert_array_equal(w1, w0)
 
 
 def _batch_loss(model, ds, anchors, positives, negatives, spec):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from uscrl import tuples as tuples_mod
 from uscrl.errors import ConfigError, PreconditionError, SizeError
-from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, Tuple, TupleSet,
+from uscrl.tuples import (REGIME_IID, REGIME_SUB, Tuple, TupleSet,
                           class_tuple_count, count_all_tuples,
                           disjoint_tuples, draw_ksubsets, draw_ordered_pairs,
                           enumerate_all_tuples, enumerate_class_tuples,
                           greedy_iid_tuples, subsample_tuples, tuple_mass,
-                          tuple_masses, tuple_set_from_jsonl)
+                          tuple_masses)
 
 from conftest import make_pool
 from naive_ref import naive_enumeration
@@ -42,15 +42,6 @@ class TestCounts:
 
 
 class TestTupleSet:
-    def test_round_trip_jsonl(self, toy_pool):
-        ts = enumerate_all_tuples(toy_pool, k=1)
-        back = tuple_set_from_jsonl(ts.to_jsonl(), REGIME_ALL)
-        assert back.k == 1
-        np.testing.assert_array_equal(back.anchors, ts.anchors)
-        np.testing.assert_array_equal(back.positives, ts.positives)
-        np.testing.assert_array_equal(back.negatives, ts.negatives)
-        np.testing.assert_array_equal(back.class_ids, ts.class_ids)
-
     @staticmethod
     def _jsonl_per_row(ts):
         lines = [json.dumps({"class": t.class_id, "anchor": t.anchor,
