@@ -64,9 +64,9 @@ class LossSpec:
 
 def _kmajor_raw(spec: LossSpec, vt: np.ndarray):
     """Unclipped loss of k-major scores vt (k, batch), and for logistic its
-    exp terms and denominator; hinge gives margin - min_i v_i, unfloored."""
+    exp terms and denominator (None for hinge)."""
     if spec.kind == "hinge":
-        return spec.margin - vt.min(axis=0), None, None
+        return np.maximum(0.0, spec.margin - vt.min(axis=0)), None, None
     e = np.negative(vt)  # log(1 + sum_i exp(-v_i)) = logsumexp([0, -v])
     m = np.maximum(e.max(axis=0), 0.0)
     e -= m
@@ -74,11 +74,6 @@ def _kmajor_raw(spec: LossSpec, vt: np.ndarray):
     denom = np.exp(-m)
     denom += e.sum(axis=0)
     return m + np.log(denom), e, denom
-
-
-def _clipped(spec: LossSpec, raw: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(0.0, raw) if spec.kind == "hinge" else raw,
-                      spec.clip)
 
 
 def _value_and_grad(spec: LossSpec, vt: np.ndarray):
@@ -92,7 +87,7 @@ def _value_and_grad(spec: LossSpec, vt: np.ndarray):
     else:  # d/dv_i = -exp(-v_i) / (1 + sum_j exp(-v_j))
         g = np.negative(np.divide(e, denom, out=e), out=e)
         g[:, raw >= spec.clip] = 0.0
-    return _clipped(spec, raw), g
+    return np.minimum(raw, spec.clip), g
 
 
 def _to_kmajor(v):
@@ -105,7 +100,7 @@ def _to_kmajor(v):
 def loss_value(spec: LossSpec, v) -> np.ndarray | float:
     """Clipped loss of score vectors; v is (k,) or (batch, k)."""
     vt, scalar = _to_kmajor(v)
-    out = _clipped(spec, _kmajor_raw(spec, vt)[0])
+    out = np.minimum(_kmajor_raw(spec, vt)[0], spec.clip)
     return float(out[0]) if scalar else out
 
 

@@ -192,10 +192,10 @@ def make_mlp(widths, spectral_caps, seed: int,
 def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
     """w scaled down to spectral norm cap; w itself when the cap is slack.
 
-    Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2,
-    the top eigenvalue of the smaller Gram matrix, is at most its largest
-    absolute row sum (Gershgorin). Non-finite weights fail the first and
-    skip the second, so they reach the check in spectral_norm.
+    Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2 is
+    at most the largest absolute row sum of the smaller Gram matrix
+    (Gershgorin), so a sum below cap^2 clears w. Non-finite weights fail
+    the first test and skip the second, so they reach spectral_norm's check.
     """
 
     fro = np.linalg.norm(w)
@@ -203,7 +203,7 @@ def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
         return w
     if math.isfinite(fro):
         gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
-        if np.abs(gram).sum(axis=1).max() <= cap * cap:
+        if np.abs(gram).sum(axis=1).max() < cap * cap:
             return w
     sig = spectral_norm(w)
     return w * (cap / sig) if sig > cap else w

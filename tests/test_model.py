@@ -204,7 +204,7 @@ class TestGramCertificate:
         sigma = np.linalg.svd(w, compute_uv=False)[0]
         bound = _gram_bound(w)
         assert bound >= sigma * sigma * (1 - 1e-12)
-        # a cap at the bound is certified without an SVD and leaves w as is
+        # a cap just above the bound is certified without an SVD
         monkeypatch.setattr(model_mod, "spectral_norm", _no_svd)
         cap = math.sqrt(bound) * (1 + 1e-12)
         assert model_mod._cap_spectral(w, cap) is w
@@ -223,6 +223,16 @@ class TestGramCertificate:
         assert out is not w
         assert np.linalg.svd(out, compute_uv=False)[0] == pytest.approx(
             cap, rel=1e-12)
+
+    def test_bound_equal_to_cap_squared_goes_to_svd(self, monkeypatch):
+        # 4*I at cap 4: Frobenius 6.9 > 4 and Gram row sums exactly 16
+        calls = []
+        real = model_mod.spectral_norm
+        monkeypatch.setattr(model_mod, "spectral_norm",
+                            lambda a: calls.append(a) or real(a))
+        w = 4.0 * np.eye(3)
+        assert model_mod._cap_spectral(w, 4.0) is w
+        assert len(calls) == 1
 
     def test_certified_mlp_unchanged_bit_for_bit(self, monkeypatch):
         # uniform init of a 64x96 layer: Frobenius ~4.6, Gram bound ~1.4^2
