@@ -19,10 +19,9 @@ from .model import (LinearModel, LinearProbe, MlpModel, fit_probe,
 from .risk import (Exact, MonteCarlo, RiskEstimate, decoupled_block_estimate,
                    population_risk_mc, subsampled_risk, ustat_conditional,
                    ustat_overall, vstat_overall)
-from .bounds import (BoundInputs, BoundReport, basic_bound, chernoff_lambda,
-                     dudley_bound, effective_n, empirical_rademacher_probe,
-                     evaluate_theorem, linear_class_K, nn_class_K,
-                     subsampled_bound)
+from .bounds import (BoundInputs, BoundReport, chernoff_lambda, dudley_bound,
+                     effective_n, empirical_rademacher_probe,
+                     evaluate_theorem, linear_class_K, nn_class_K)
 from .trainer import (TrainConfig, TrainReport, compare_regimes,
                       sample_complexity_search, train)
 from .tuples import (Tuple, TupleSet, count_all_tuples, disjoint_tuples,

@@ -1,8 +1,11 @@
 """Generalization-bound calculators with explicit constants.
 
-All calculators take plain numbers and return a structured report with
-named additive terms, so every constant in the bound statements is
-visible and testable. The effective sample size
+The six bound statements are two sampling schemes (all tuples, or M
+sub-sampled tuples) crossed with three complexity sources (per-class
+K_{F,c}, the norm-capped linear class, the spectrally-capped network
+class). One term builder, ``evaluate_theorem``, takes plain numbers and
+returns a structured report with named additive terms, so every constant
+in the statements is visible and testable. The effective sample size
 
     N_tilde = N * min(rho_min / 2, (1 - rho_max) / k)
 
@@ -15,6 +18,7 @@ bound M, since the excess risk of an M-clipped loss can never be larger.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +68,10 @@ THEOREM_CONSTANTS = {
 }
 
 THEOREM_IDS = tuple(t for t in THEOREM_CONSTANTS if t != "chernoff")
+
+# per-layer lists of the network family: spectral caps s_l, activation
+# Lipschitz constants xi_l, widths d_1..d_L (input layer excluded)
+_LAYER_LISTS = ("caps", "xis", "widths")
 
 
 @dataclass(frozen=True)
@@ -159,18 +167,6 @@ def chernoff_lambda(n: int, rho_min: float, num_classes: int, delta: float,
                      / (n * rho_min))
 
 
-def _finish(theorem: str, inputs: BoundInputs, n_tilde: float,
-            terms: list) -> BoundReport:
-    const = THEOREM_CONSTANTS[theorem]
-    total = float(sum(v for _, v in terms))
-    lam = chernoff_lambda(inputs.n, float(inputs.rho.min()),
-                          inputs.num_classes, inputs.delta,
-                          multiplier=const["lambda_mult"])
-    flags = {"vacuous": total >= inputs.loss_bound, "lambda_ge_1": lam >= 1.0}
-    return BoundReport(theorem=theorem, n_tilde=n_tilde, lam=lam,
-                       terms=tuple(terms), total=total, flags=flags)
-
-
 def _class_k_vector(inputs: BoundInputs) -> np.ndarray:
     if inputs.class_k is None:
         raise ConfigError("class_k is required for this theorem")
@@ -184,60 +180,36 @@ def _class_k_vector(inputs: BoundInputs) -> np.ndarray:
     return ck
 
 
-def basic_bound(inputs: BoundInputs) -> BoundReport:
-    """Excess-risk bound for the all-tuples empirical minimizer."""
-    c = THEOREM_CONSTANTS["basic"]
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    ck = _class_k_vector(inputs)
-    complexity = (c["complexity_coef"] / math.sqrt(nt)) * float(inputs.rho @ ck)
-    conf = c["conf_coef"] * inputs.loss_bound * math.sqrt(
-        math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-        / (2.0 * nt))
-    return _finish("basic", inputs, nt,
-                   [("complexity", complexity), ("confidence", conf)])
-
-
-def subsampled_bound(inputs: BoundInputs, emp_rad: float) -> BoundReport:
-    """Excess-risk bound for the sub-sampled minimizer.
-
-    ``emp_rad`` is an empirical Rademacher complexity of the loss class
-    on the sub-sampled tuples (any upper bound keeps validity).
-    """
-
-    c = THEOREM_CONSTANTS["subsampled"]
-    if inputs.m_tuples is None:
-        raise ConfigError("m_tuples is required for the sub-sampled bound")
-    if emp_rad < 0:
-        raise ConfigError("empirical Rademacher complexity must be >= 0")
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    ck = _class_k_vector(inputs)
-    m = inputs.loss_bound
-    terms = [
-        ("rademacher", c["rad_coef"] * emp_rad),
-        ("complexity",
-         (c["complexity_coef"] / math.sqrt(nt)) * float(inputs.rho @ ck)),
-        ("mc", c["mc_coef"] * m * math.sqrt(
-            math.log(c["mc_log_mult"] / inputs.delta)
-            / (2.0 * inputs.m_tuples))),
-        ("confidence", c["conf_coef"] * m * math.sqrt(
-            math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-            / (2.0 * nt))),
-    ]
-    return _finish("subsampled", inputs, nt, terms)
+def _positive(name: str, v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not 0 < v <= sys.float_info.max:
+        raise ConfigError(f"family_params[{name!r}] must be a positive "
+                          f"finite number, got {v!r}")
+    return float(v)
 
 
 def _require(params: dict, names) -> list:
+    """The named family_params as positive finite floats; caps, xis and
+    widths as nonempty lists of them, one entry per layer."""
     missing = [x for x in names if x not in params]
     if missing:
         raise ConfigError(f"family_params missing {missing}")
-    vals = [params[x] for x in names]
-    for name, v in zip(names, vals):
-        if isinstance(v, (int, float)) and v <= 0:
-            raise ConfigError(f"family_params[{name!r}] must be positive")
+    vals = []
+    for name in names:
+        v = params[name]
+        per_layer = name in _LAYER_LISTS
+        if per_layer and (not isinstance(v, list) or not v):
+            raise ConfigError(f"family_params[{name!r}] must be a nonempty "
+                              f"list, one entry per layer")
+        vals.append([_positive(name, x) for x in v] if per_layer
+                    else _positive(name, v))
+    if len({len(v) for v in vals if isinstance(v, list)}) > 1:
+        raise ConfigError(f"family_params {list(_LAYER_LISTS)} need one "
+                          f"entry per layer each")
     return vals
 
 
-def linear_phi(n: int, k: int, d: int, loss_bound: float, eta: float,
+def linear_phi(n: int, k: int, d: float, loss_bound: float, eta: float,
                s: float, a: float, b: float) -> float:
     """Logarithmic factor of the linear-class complexity term."""
     inner_a = THEOREM_CONSTANTS["basic_linear"]["phi_inner_a"]
@@ -278,116 +250,67 @@ def nn_class_K(loss_bound: float, neuron_count: int, eta: float, n: int,
         neuron_count * logf)
 
 
-def basic_linear_bound(inputs: BoundInputs) -> BoundReport:
-    c = THEOREM_CONSTANTS["basic_linear"]
-    eta, s, a, b, d = _require(inputs.family_params,
-                               ["eta", "s", "a", "b", "d"])
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    m = inputs.loss_bound
-    phi = linear_phi(inputs.n, inputs.k, int(d), m, eta, s, a, b)
-    terms = [
-        ("small", c["small_coef"] / (inputs.n * math.sqrt(nt))),
-        ("complexity",
-         c["complexity_coef"] * eta * s * a * b * b * phi / math.sqrt(nt)),
-        ("confidence", c["conf_coef"] * m * math.sqrt(
-            math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-            / (2.0 * nt))),
-    ]
-    return _finish("basic_linear", inputs, nt, terms)
-
-
-def basic_nn_bound(inputs: BoundInputs) -> BoundReport:
-    c = THEOREM_CONSTANTS["basic_nn"]
-    eta, b = _require(inputs.family_params, ["eta", "b"])
-    caps, xis = _require(inputs.family_params, ["caps", "xis"])
-    widths = _require(inputs.family_params, ["widths"])[0]  # d_1..d_L
-    neuron_count = int(np.sum(widths))
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    m = inputs.loss_bound
-    logf = nn_log_factor(inputs.n, eta, b, caps, xis)
-    terms = [
-        ("small", c["small_coef"] / (inputs.n * math.sqrt(nt))),
-        ("complexity", c["complexity_coef"] * m * math.sqrt(
-            neuron_count / nt * logf)),
-        ("confidence", c["conf_coef"] * m * math.sqrt(
-            math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-            / (2.0 * nt))),
-    ]
-    return _finish("basic_nn", inputs, nt, terms)
-
-
-def subsampled_linear_bound(inputs: BoundInputs) -> BoundReport:
-    c = THEOREM_CONSTANTS["subsampled_linear"]
-    if inputs.m_tuples is None:
-        raise ConfigError("m_tuples is required for the sub-sampled bound")
-    eta, s, a, b, d = _require(inputs.family_params,
-                               ["eta", "s", "a", "b", "d"])
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    m = inputs.loss_bound
-    mt = inputs.m_tuples
-    phi = linear_phi(inputs.n, inputs.k, int(d), m, eta, s, a, b)
-    terms = [
-        ("mc_small", c["mc_small_coef"] / mt),
-        ("small", c["small_coef"] / (inputs.n * math.sqrt(nt))),
-        ("complexity", c["complexity_coef"] * eta * s * a * b * b * phi
-         * (1.0 / math.sqrt(mt) + 1.0 / math.sqrt(nt))),
-        ("mc", c["mc_coef"] * m * math.sqrt(
-            math.log(c["mc_log_mult"] / inputs.delta) / (2.0 * mt))),
-        ("confidence", c["conf_coef"] * m * math.sqrt(
-            math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-            / (2.0 * nt))),
-    ]
-    return _finish("subsampled_linear", inputs, nt, terms)
-
-
-def subsampled_nn_bound(inputs: BoundInputs) -> BoundReport:
-    c = THEOREM_CONSTANTS["subsampled_nn"]
-    if inputs.m_tuples is None:
-        raise ConfigError("m_tuples is required for the sub-sampled bound")
-    eta, b = _require(inputs.family_params, ["eta", "b"])
-    caps, xis = _require(inputs.family_params, ["caps", "xis"])
-    widths = _require(inputs.family_params, ["widths"])[0]
-    neuron_count = int(np.sum(widths))
-    nt = effective_n(inputs.n, inputs.rho, inputs.k)
-    m = inputs.loss_bound
-    mt = inputs.m_tuples
-    logf = nn_log_factor(inputs.n, eta, b, caps, xis)
-    terms = [
-        ("mc_small", c["mc_small_coef"] / mt),
-        ("small", c["small_coef"] / (inputs.n * math.sqrt(nt))),
-        ("complexity", c["complexity_coef"] * m
-         * math.sqrt(neuron_count * logf)
-         * (1.0 / math.sqrt(nt) + 1.0 / math.sqrt(mt))),
-        ("mc", c["mc_coef"] * m * math.sqrt(
-            math.log(c["mc_log_mult"] / inputs.delta) / (2.0 * mt))),
-        ("confidence", c["conf_coef"] * m * math.sqrt(
-            math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
-            / (2.0 * nt))),
-    ]
-    return _finish("subsampled_nn", inputs, nt, terms)
-
-
-_THEOREM_FUNCS = {
-    "basic": lambda inp: basic_bound(inp),
-    "subsampled": None,  # needs emp_rad, handled by evaluate_theorem
-    "basic_linear": lambda inp: basic_linear_bound(inp),
-    "basic_nn": lambda inp: basic_nn_bound(inp),
-    "subsampled_linear": lambda inp: subsampled_linear_bound(inp),
-    "subsampled_nn": lambda inp: subsampled_nn_bound(inp),
-}
-
-
 def evaluate_theorem(theorem: str, inputs: BoundInputs,
                      emp_rad: float | None = None) -> BoundReport:
-    """Dispatch a bound statement by id."""
+    """Evaluate a bound statement by id, "<basic|subsampled>[_<linear|nn>]".
+
+    The sampling scheme (all tuples, or M sub-sampled tuples) and the
+    complexity source (per-class K_{F,c}, the linear class, the network
+    class) each contribute terms, in this order: ``rademacher`` (generic
+    sub-sampled) or ``mc_small`` (family sub-sampled), ``small`` (family),
+    ``complexity``, ``mc`` (sub-sampled) and ``confidence``. ``emp_rad``,
+    needed by "subsampled" only, is an empirical Rademacher complexity of
+    the loss class on the sub-sampled tuples (any upper bound keeps
+    validity).
+    """
     if theorem not in THEOREM_IDS:
         raise ConfigError(
             f"unknown theorem {theorem!r}; expected one of {sorted(THEOREM_IDS)}")
-    if theorem == "subsampled":
-        if emp_rad is None:
-            raise ConfigError("the sub-sampled bound needs emp_rad")
-        return subsampled_bound(inputs, emp_rad)
-    return _THEOREM_FUNCS[theorem](inputs)
+    sampling, _, family = theorem.partition("_")
+    sub = sampling == "subsampled"
+    c = THEOREM_CONSTANTS[theorem]
+    m, mt, params = inputs.loss_bound, inputs.m_tuples, inputs.family_params
+    if theorem == "subsampled" and (emp_rad is None or emp_rad < 0):
+        raise ConfigError("the sub-sampled bound needs an empirical "
+                          "Rademacher complexity emp_rad >= 0")
+    if sub and mt is None:
+        raise ConfigError("m_tuples is required for the sub-sampled bound")
+    if family == "linear":
+        eta, s, a, b, d = _require(params, ["eta", "s", "a", "b", "d"])
+        lead = c["complexity_coef"] * eta * s * a * b * b * linear_phi(
+            inputs.n, inputs.k, d, m, eta, s, a, b)
+    elif family == "nn":
+        eta, b, caps, xis, widths = _require(
+            params, ["eta", "b", "caps", "xis", "widths"])
+        lead = c["complexity_coef"] * m * math.sqrt(
+            sum(widths) * nn_log_factor(inputs.n, eta, b, caps, xis))
+    nt = effective_n(inputs.n, inputs.rho, inputs.k)
+    terms = []
+    if family:
+        rate = 1.0 / math.sqrt(nt)
+        if sub:
+            rate += 1.0 / math.sqrt(mt)
+            terms.append(("mc_small", c["mc_small_coef"] / mt))
+        terms.append(("small", c["small_coef"] / (inputs.n * math.sqrt(nt))))
+        terms.append(("complexity", lead * rate))
+    else:
+        if sub:
+            terms.append(("rademacher", c["rad_coef"] * emp_rad))
+        terms.append(("complexity", (c["complexity_coef"] / math.sqrt(nt))
+                      * float(inputs.rho @ _class_k_vector(inputs))))
+    if sub:
+        terms.append(("mc", c["mc_coef"] * m * math.sqrt(
+            math.log(c["mc_log_mult"] / inputs.delta) / (2.0 * mt))))
+    terms.append(("confidence", c["conf_coef"] * m * math.sqrt(
+        math.log(c["conf_log_mult"] * inputs.num_classes / inputs.delta)
+        / (2.0 * nt))))
+    total = float(sum(v for _, v in terms))
+    lam = chernoff_lambda(inputs.n, float(inputs.rho.min()),
+                          inputs.num_classes, inputs.delta,
+                          multiplier=c["lambda_mult"])
+    flags = {"vacuous": total >= m, "lambda_ge_1": lam >= 1.0}
+    return BoundReport(theorem=theorem, n_tilde=nt, lam=lam,
+                       terms=tuple(terms), total=total, flags=flags)
 
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-6,

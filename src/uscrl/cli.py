@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 precondition failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -29,10 +30,10 @@ from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
 from .errors import (ConfigError, NumericError, PreconditionError,
                      UscrlError)
 from .fileio import atomic_write
-from .loss import LossSpec, default_clip, tuple_losses
+from .loss import LossSpec, tuple_losses
 from .model import load_checkpoint, save_checkpoint
-from .risk import (Exact, MonteCarlo, population_risk_mc, subsampled_risk,
-                   ustat_overall, vstat_overall)
+from .risk import (Exact, MonteCarlo, RiskEstimate, population_risk_mc,
+                   subsampled_risk, ustat_overall, vstat_overall)
 from .trainer import (TrainConfig, compare_regimes, sample_complexity_search,
                       train)
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
@@ -110,14 +111,6 @@ def _save_pool(path: str, ds: LabeledDataset) -> None:
     """Written by rename, so a concurrent run never reads a partial file."""
     with atomic_write(path, "wb") as f:
         np.savez(f, x=ds.x, y=ds.y, num_classes=ds.num_classes)
-
-
-def _loss_spec(cfg: dict, k: int) -> LossSpec:
-    lc = cfg.get("loss", {})
-    clip = lc.get("clip")
-    return LossSpec(kind=lc.get("kind", "logistic"),
-                    clip=default_clip(k) if clip is None else clip,
-                    margin=lc.get("margin", 1.0))
 
 
 def _train_config(cfg: dict, k: int, seed: int) -> TrainConfig:
@@ -201,7 +194,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
 
 def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     k = cfg["k"]
-    spec = _loss_spec(cfg, k)
+    spec = LossSpec.for_k(k, **cfg.get("loss", {}))
     estimator = cfg["estimator"]
     model = load_checkpoint(cfg["checkpoint"])
     cap = cfg.get("cap", DEFAULT_CAP)
@@ -243,9 +236,8 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
             losses = tuple_losses(model, ds, ts.anchors, ts.positives,
                                   ts.negatives, spec)
             masses = tuple_masses(ds, k, ts.class_ids)
-            est_value = float(np.sum(losses * masses))
-            from .risk import RiskEstimate
-            est = RiskEstimate(est_value, "enumeration_mean", ts.m_count)
+            est = RiskEstimate(float(np.sum(losses * masses)),
+                               "enumeration_mean", ts.m_count)
 
     path = os.path.join(out_dir, "estimate.json")
     _write_json(path, est.to_json())
@@ -318,22 +310,18 @@ def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
     k = cfg["k"]
     blob = {"x": pool.x, "y": pool.y, "c": pool.num_classes}
     tasks = [(blob, cfg, k, int(s)) for s in cfg["seeds"]]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    chunks = []
+    with contextlib.ExitStack() as stack:
+        run = map
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_regimes_worker, t) for t in tasks]
-            chunks = []
-            for i, fut in enumerate(futures):
-                try:
-                    chunks.append(fut.result())
-                except UscrlError as e:
-                    raise type(e)(f"job {i} (seed {tasks[i][3]}): {e}") from None
-    else:
-        chunks = []
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            run = pool.map
+        results = run(_regimes_worker, tasks)
         for i, t in enumerate(tasks):
             try:
-                chunks.append(_regimes_worker(t))
+                chunks.append(next(results))
             except UscrlError as e:
                 raise type(e)(f"job {i} (seed {t[3]}): {e}") from None
     rows = [r for chunk in chunks for r in chunk]

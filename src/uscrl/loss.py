@@ -51,6 +51,13 @@ class LossSpec:
             if not math.isfinite(self.clip):
                 raise ConfigError("hinge loss requires a finite clip")
 
+    @classmethod
+    def for_k(cls, k: int, kind: str = "logistic", clip: float | None = None,
+              margin: float = 1.0) -> LossSpec:
+        """Spec for k negatives; clip None means default_clip(k)."""
+        return cls(kind=kind, clip=default_clip(k) if clip is None else clip,
+                   margin=margin)
+
     @property
     def eta(self) -> float:
         """Lipschitz constant in the sup norm over score vectors."""

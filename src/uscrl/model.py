@@ -401,7 +401,21 @@ def save_checkpoint(model, path_prefix: str) -> tuple[str, str]:
 def load_checkpoint(path_prefix: str):
     json_path, bin_path = path_prefix + ".json", path_prefix + ".bin"
     with open(json_path) as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as e:
+            raise FormatError(f"checkpoint metadata {json_path}: not valid "
+                              f"JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint metadata {json_path}: not a JSON "
+                          f"object")
+    linear = meta.get("family") == "linear"
+    keys = ["family", "shapes"] + (["max_col_sum", "max_spectral"] if linear
+                                   else ["spectral_caps", "activations"])
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise FormatError(f"checkpoint metadata {json_path}: missing key(s) "
+                          f"{', '.join(missing)}")
     shapes = [tuple(s) for s in meta["shapes"]]
     with open(bin_path, "rb") as f:
         head = f.read(16)
@@ -422,7 +436,7 @@ def load_checkpoint(path_prefix: str):
             ws.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
         if f.read(1):
             raise FormatError("checkpoint payload: trailing bytes")
-    if meta["family"] == "linear":
+    if linear:
         return LinearModel(ws[0], max_col_sum=meta["max_col_sum"],
                            max_spectral=meta["max_spectral"])
     return MlpModel(ws, meta["spectral_caps"], meta["activations"])

@@ -13,12 +13,19 @@ exact enumeration, incomplete (Monte Carlo) U-statistics, the decoupled
 disjoint-block average underlying the independence argument, the
 with-replacement V-statistic, the sub-sampled tuple risk, and a fresh
 Monte Carlo draw from the data distribution itself.
+
+The U- and V-statistics, exact or Monte Carlo, share one class-weighted
+driver: a per-class generator yields (anchor, positive, negatives) index
+chunks, and every chunk goes through the same loss kernel, the shared h
+of an incomplete U-statistic (Clemencon, Colin and Bellet, JMLR 2016).
+Estimates are named "<ustat|vstat>_<exact|mc>".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -100,110 +107,153 @@ def subsampled_risk(model, ds: LabeledDataset, tset: TupleSet,
                         std_error=_std_error(s, sq, n))
 
 
-def _class_setup(ds: LabeledDataset, c: int, k: int):
+def _class_split(ds: LabeledDataset, c: int):
+    """In-class and out-of-class pool indices of class c."""
     if not 0 <= c < ds.num_classes:
         raise ConfigError(f"class {c} out of range")
-    pos_idx = ds.class_indices(c)
-    neg_idx = ds.out_indices(c)
-    return pos_idx, neg_idx, class_tuple_count(len(pos_idx), len(neg_idx), k)
+    return ds.class_indices(c), ds.out_indices(c)
 
 
-def _exact_class_ustat(reps, pos_idx, neg_idx, k, spec, cap):
-    """Mean over all of T_c by rank arithmetic; no (pairs x subsets) blowup."""
-    from itertools import combinations
+def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
+    """(anchors, positives, negatives) index chunks over one class's terms.
 
+    Exact U: ordered pairs in lexicographic order times every negative
+    k-subset, a bounded number of pairs per chunk. Exact V: ranks unpacked
+    into (anchor, positive, k negative digits). Monte Carlo U: num_draws
+    ordered pairs and k-subsets from rng, _CHUNK per chunk. Monte Carlo V:
+    all num_draws index tuples from rng in one draw.
+    """
     n_pos, n_neg = len(pos_idx), len(neg_idx)
-    count = class_tuple_count(n_pos, n_neg, k)
-    if count > cap:
-        raise SizeError(count, cap, "exact class U-statistic")
+    if isinstance(mode, MonteCarlo):
+        b = mode.num_draws
+        if stat == "vstat":
+            j1 = rng.integers(0, n_pos, size=b)
+            j2 = rng.integers(0, n_pos, size=b)
+            dig = rng.integers(0, n_neg, size=(b, k))
+            yield pos_idx[j1], pos_idx[j2], neg_idx[dig]
+            return
+        for lo in range(0, b, _CHUNK):
+            m = min(b, lo + _CHUNK) - lo
+            a, p = draw_ordered_pairs(rng, n_pos, m)
+            sub = draw_ksubsets(rng, n_neg, k, m)
+            yield pos_idx[a], pos_idx[p], neg_idx[sub]
+        return
+    if stat == "vstat":
+        neg_total = n_neg**k
+        count = n_pos * n_pos * neg_total
+        for lo in range(0, count, _CHUNK):
+            t = np.arange(lo, min(count, lo + _CHUNK), dtype=np.int64)
+            pair, rem = divmod(t, neg_total)
+            j1, j2 = divmod(pair, n_pos)
+            digits = np.empty((t.shape[0], k), dtype=np.int64)
+            for pos in range(k - 1, -1, -1):
+                rem, digits[:, pos] = divmod(rem, n_neg)
+            yield pos_idx[j1], pos_idx[j2], neg_idx[digits]
+        return
     subs = neg_idx[np.array(list(combinations(range(n_neg), k)), dtype=np.int64)]
     n_subs = subs.shape[0]
-    s = sq = 0.0
-    # Ordered pairs in lexicographic order, chunked so that the expanded
-    # (pairs, subsets) block stays bounded.
-    pair_rows = max(1, _CHUNK // max(n_subs, 1))
-    pa_all = np.repeat(np.arange(n_pos), n_pos - 1)
-    grid = np.tile(np.arange(n_pos), (n_pos, 1))
-    pb_all = grid[~np.eye(n_pos, dtype=bool)].reshape(n_pos, n_pos - 1).ravel()
+    pair_rows = max(1, _CHUNK // n_subs)
+    pa_all, pb_all = np.nonzero(~np.eye(n_pos, dtype=bool))
     for lo in range(0, pa_all.shape[0], pair_rows):
         hi = min(pa_all.shape[0], lo + pair_rows)
-        m = hi - lo
-        anchors = pos_idx[np.repeat(pa_all[lo:hi], n_subs)]
-        positives = pos_idx[np.repeat(pb_all[lo:hi], n_subs)]
-        negatives = np.tile(subs, (m, 1))
-        cs, csq, _ = _chunked_loss_stats(reps, anchors, positives, negatives, spec)
-        s += cs
-        sq += csq
-    return s / count, count
+        yield (pos_idx[np.repeat(pa_all[lo:hi], n_subs)],
+               pos_idx[np.repeat(pb_all[lo:hi], n_subs)],
+               np.tile(subs, (hi - lo, 1)))
 
 
-def _mc_class_ustat(reps, pos_idx, neg_idx, k, spec, mode: MonteCarlo):
-    rng = np.random.default_rng(mode.seed)
-    b = mode.num_draws
+def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
+                    spec: LossSpec, rng) -> RiskEstimate:
+    """One class's estimate from its index chunks; 0 with n_terms 0 if the
+    class has no term (|T_c| for U, N_c+^2 (N_c-)^k index tuples for V)."""
+    mc = isinstance(mode, MonteCarlo)
+    name = f"{stat}_{'mc' if mc else 'exact'}"
+    n_pos, n_neg = len(pos_idx), len(neg_idx)
+    count = (class_tuple_count(n_pos, n_neg, k) if stat == "ustat"
+             else n_pos * n_pos * n_neg**k)
+    if count == 0:
+        return RiskEstimate(0.0, name, 0)
+    if not mc and count > mode.cap:
+        raise SizeError(count, mode.cap, f"exact class {stat}")
     s = sq = 0.0
-    for lo in range(0, b, _CHUNK):
-        m = min(b, lo + _CHUNK) - lo
-        a, p = draw_ordered_pairs(rng, len(pos_idx), m)
-        sub = draw_ksubsets(rng, len(neg_idx), k, m)
-        cs, csq, _ = _chunked_loss_stats(reps, pos_idx[a], pos_idx[p],
-                                         neg_idx[sub], spec)
+    n = 0
+    for anchors, positives, negatives in _class_chunks(stat, mode, pos_idx,
+                                                       neg_idx, k, rng):
+        cs, csq, cn = _chunked_loss_stats(reps, anchors, positives,
+                                          negatives, spec)
         s += cs
         sq += csq
-    return s / b, sq, b
+        n += cn
+    if mc:
+        return RiskEstimate(s / n, name, n, std_error=_std_error(s, sq, n),
+                            seed=mode.seed)
+    return RiskEstimate(s / n, name, n)
+
+
+def _overall(model, ds: LabeledDataset, k: int, spec: LossSpec, mode,
+             stat: str) -> RiskEstimate:
+    """Frequency-weighted sum of the feasible classes' U or V statistics.
+
+    Monte Carlo U seeds class c from SeedSequence((seed, c)). Monte Carlo V
+    draws every class from one default_rng(seed) stream, so adding a class
+    shifts the draws of every later class; it stays that way so recorded
+    V values reproduce.
+    """
+    if ds.n == 0:
+        raise PreconditionError("empty dataset")
+    mc = isinstance(mode, MonteCarlo)
+    rng = np.random.default_rng(mode.seed) if mc else None
+    reps = model.forward(ds.x)
+    sizes = ds.class_sizes()
+    total = var = 0.0
+    n_terms = 0
+    for c in range(ds.num_classes):
+        if mc and stat == "ustat":
+            rng = np.random.default_rng(
+                np.random.SeedSequence((mode.seed, c)).generate_state(1)[0])
+        est = _class_estimate(reps, stat, mode, *_class_split(ds, c), k,
+                              spec, rng)
+        if est.n_terms == 0:
+            continue
+        w = sizes[c] / ds.n
+        total += w * est.value
+        n_terms += est.n_terms
+        if mc:
+            var += (w * est.std_error) ** 2
+    if n_terms == 0:
+        raise PreconditionError(f"no class admits a {stat} term at k={k}")
+    return RiskEstimate(total, est.estimator, n_terms,
+                        std_error=math.sqrt(var) if mc else None,
+                        seed=mode.seed if mc else None)
 
 
 def ustat_conditional(model, ds: LabeledDataset, c: int, k: int,
                       spec: LossSpec, mode=Exact()) -> RiskEstimate:
-    """Class-conditional U-statistic U(f | c); 0 with n_terms 0 if infeasible."""
-    pos_idx, neg_idx, count = _class_setup(ds, c, k)
-    if count == 0:
-        return RiskEstimate(0.0, "ustat_exact" if isinstance(mode, Exact)
-                            else "ustat_mc", 0)
-    reps = model.forward(ds.x)
-    if isinstance(mode, Exact):
-        value, n = _exact_class_ustat(reps, pos_idx, neg_idx, k, spec, mode.cap)
-        return RiskEstimate(value, "ustat_exact", n)
-    value, sq, b = _mc_class_ustat(reps, pos_idx, neg_idx, k, spec, mode)
-    return RiskEstimate(value, "ustat_mc", b,
-                        std_error=_std_error(value * b, sq, b), seed=mode.seed)
+    """Class-conditional U-statistic U(f | c); 0 with n_terms 0 if infeasible.
+
+    A Monte Carlo estimate draws from default_rng(mode.seed).
+    """
+    rng = np.random.default_rng(mode.seed) if isinstance(mode, MonteCarlo) \
+        else None
+    return _class_estimate(model.forward(ds.x), "ustat", mode,
+                           *_class_split(ds, c), k, spec, rng)
 
 
 def ustat_overall(model, ds: LabeledDataset, k: int, spec: LossSpec,
                   mode=Exact()) -> RiskEstimate:
     """Frequency-weighted sum of feasible class-conditional U-statistics."""
-    if ds.n == 0:
-        raise PreconditionError("empty dataset")
-    reps = model.forward(ds.x)
-    sizes = ds.class_sizes()
-    total = 0.0
-    n_terms = 0
-    var = 0.0
-    any_feasible = False
-    mc = isinstance(mode, MonteCarlo)
-    for c in range(ds.num_classes):
-        pos_idx, neg_idx, count = _class_setup(ds, c, k)
-        if count == 0:
-            continue
-        any_feasible = True
-        w = sizes[c] / ds.n
-        if mc:
-            sub_mode = MonteCarlo(mode.num_draws,
-                                  seed=np.random.SeedSequence((mode.seed, c))
-                                  .generate_state(1)[0])
-            val, sq, b = _mc_class_ustat(reps, pos_idx, neg_idx, k, spec, sub_mode)
-            se = _std_error(val * b, sq, b)
-            var += (w * se) ** 2
-            n_terms += b
-        else:
-            val, n = _exact_class_ustat(reps, pos_idx, neg_idx, k, spec, mode.cap)
-            n_terms += n
-        total += w * val
-    if not any_feasible:
-        raise PreconditionError(f"no class admits a valid tuple at k={k}")
-    if mc:
-        return RiskEstimate(total, "ustat_mc", n_terms,
-                            std_error=math.sqrt(var), seed=mode.seed)
-    return RiskEstimate(total, "ustat_exact", n_terms)
+    return _overall(model, ds, k, spec, mode, "ustat")
+
+
+def vstat_overall(model, ds: LabeledDataset, k: int, spec: LossSpec,
+                  mode=Exact()) -> RiskEstimate:
+    """V-statistic analogue: anchors may equal positives, negatives repeat.
+
+    A class only needs one in-class and one out-of-class sample to
+    contribute, so pools infeasible for the U-statistic can still have a
+    nonzero V-statistic. The gap to the U-statistic is O(1/n).
+    """
+
+    return _overall(model, ds, k, spec, mode, "vstat")
 
 
 def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
@@ -216,7 +266,7 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     independent-blocks estimator used by the concentration argument.
     """
 
-    pos_idx, neg_idx, count = _class_setup(ds, c, k)
+    pos_idx, neg_idx = _class_split(ds, c)
     n_pos, n_neg = len(pos_idx), len(neg_idx)
     n_c = min(n_pos // 2, n_neg // k)
     if n_c == 0:
@@ -235,83 +285,6 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     reps = model.forward(ds.x)
     s, _, n = _chunked_loss_stats(reps, anchors, positives, negatives, spec)
     return RiskEstimate(s / n, "ustat_decoupled", n)
-
-
-def _vstat_class_count(n_pos: int, n_neg: int, k: int) -> int:
-    if n_pos < 1 or n_neg < 1:
-        return 0
-    return n_pos * n_pos * n_neg**k
-
-
-def _exact_class_vstat(reps, pos_idx, neg_idx, k, spec, cap):
-    """Mean over all index combinations with repetition, by rank unpacking."""
-    n_pos, n_neg = len(pos_idx), len(neg_idx)
-    count = _vstat_class_count(n_pos, n_neg, k)
-    if count > cap:
-        raise SizeError(count, cap, "exact class V-statistic")
-    neg_total = n_neg**k
-    s = 0.0
-    for lo in range(0, count, _CHUNK):
-        t = np.arange(lo, min(count, lo + _CHUNK), dtype=np.int64)
-        pair, rem = divmod(t, neg_total)
-        j1, j2 = divmod(pair, n_pos)
-        digits = np.empty((t.shape[0], k), dtype=np.int64)
-        for pos in range(k - 1, -1, -1):
-            rem, d = divmod(rem, n_neg)
-            digits[:, pos] = d
-        v = scores_from_reps(reps, pos_idx[j1], pos_idx[j2], neg_idx[digits])
-        s += float(loss_value(spec, v).sum())
-    return s / count, count
-
-
-def vstat_overall(model, ds: LabeledDataset, k: int, spec: LossSpec,
-                  mode=Exact()) -> RiskEstimate:
-    """V-statistic analogue: anchors may equal positives, negatives repeat.
-
-    A class only needs one in-class and one out-of-class sample to
-    contribute, so pools infeasible for the U-statistic can still have a
-    nonzero V-statistic. The gap to the U-statistic is O(1/n).
-    """
-
-    if ds.n == 0:
-        raise PreconditionError("empty dataset")
-    reps = model.forward(ds.x)
-    sizes = ds.class_sizes()
-    total = 0.0
-    n_terms = 0
-    var = 0.0
-    any_feasible = False
-    mc = isinstance(mode, MonteCarlo)
-    rng = np.random.default_rng(mode.seed if mc else 0)
-    for c in range(ds.num_classes):
-        pos_idx = ds.class_indices(c)
-        neg_idx = ds.out_indices(c)
-        count = _vstat_class_count(len(pos_idx), len(neg_idx), k)
-        if count == 0:
-            continue
-        any_feasible = True
-        w = sizes[c] / ds.n
-        if mc:
-            b = mode.num_draws
-            j1 = rng.integers(0, len(pos_idx), size=b)
-            j2 = rng.integers(0, len(pos_idx), size=b)
-            dig = rng.integers(0, len(neg_idx), size=(b, k))
-            s, sq, _ = _chunked_loss_stats(reps, pos_idx[j1], pos_idx[j2],
-                                           neg_idx[dig], spec)
-            val = s / b
-            var += (w * _std_error(s, sq, b)) ** 2
-            n_terms += b
-        else:
-            val, n = _exact_class_vstat(reps, pos_idx, neg_idx, k, spec, mode.cap)
-            n_terms += n
-        total += w * val
-    if not any_feasible:
-        raise PreconditionError("no class has both an in-class and an "
-                                "out-of-class sample")
-    if mc:
-        return RiskEstimate(total, "vstat", n_terms, std_error=math.sqrt(var),
-                            seed=mode.seed)
-    return RiskEstimate(total, "vstat", n_terms)
 
 
 def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
 from .errors import ConfigError, NumericError, PreconditionError, SizeError
-from .loss import LossSpec, default_clip
+from .loss import LossSpec
 from .model import (LinearModel, MlpModel, fit_probe, make_linear, make_mlp,
                     project, tuple_batch_backward)
 from .risk import MonteCarlo, population_risk_mc, ustat_overall
@@ -70,8 +70,7 @@ class TrainConfig:
             raise ConfigError("k must be >= 1")
 
     def loss_spec(self) -> LossSpec:
-        clip = default_clip(self.k) if self.clip is None else self.clip
-        return LossSpec(kind=self.loss_kind, clip=clip, margin=self.margin)
+        return LossSpec.for_k(self.k, self.loss_kind, self.clip, self.margin)
 
 
 @dataclass

@@ -188,3 +188,85 @@ def trailing_loss_and_grad(kind, v, clip=math.inf, margin=1.0):
                 grads[t, int(np.argmin(row))] = -1.0
             losses[t] = min(max(0.0, raw), clip)
     return losses, grads
+
+
+def _std_error(s, sq, n):
+    """sqrt(sample variance / n) from the running sum and sum of squares."""
+    if n < 2:
+        return 0.0
+    return math.sqrt(max(0.0, (sq - s * s / n) / (n - 1)) / n)
+
+
+def _chunk_sums(reps, spec, anchors, positives, negatives, chunk):
+    """Loss sum and sum of squares, one np.sum per chunk of chunk terms."""
+    from uscrl.loss import loss_value, scores_from_reps
+
+    s = sq = 0.0
+    for lo in range(0, anchors.shape[0], chunk):
+        sl = slice(lo, lo + chunk)
+        lv = loss_value(spec, scores_from_reps(reps, anchors[sl],
+                                               positives[sl], negatives[sl]))
+        s += float(lv.sum())
+        sq += float((lv * lv).sum())
+    return s, sq
+
+
+def naive_mc_ustat(reps, y, num_classes, k, spec, num_draws, seed, chunk):
+    """Monte Carlo U-statistic stream, class by class.
+
+    Class c draws from its own generator,
+    default_rng(SeedSequence((seed, c)).generate_state(1)[0]), chunk draws
+    at a time: ordered pairs, then negative k-subsets. Returns the
+    frequency-weighted value and standard error. The draws and losses go
+    through the package's helpers, so this pins the seeding, the draw
+    order and the summation order, bit for bit.
+    """
+    from uscrl.tuples import draw_ksubsets, draw_ordered_pairs
+
+    n = len(y)
+    total = var = 0.0
+    for c in range(num_classes):
+        pos = np.array([i for i in range(n) if y[i] == c], dtype=np.int64)
+        neg = np.array([i for i in range(n) if y[i] != c], dtype=np.int64)
+        if len(pos) < 2 or len(neg) < k:
+            continue
+        rng = np.random.default_rng(
+            np.random.SeedSequence((seed, c)).generate_state(1)[0])
+        s = sq = 0.0
+        for lo in range(0, num_draws, chunk):
+            m = min(chunk, num_draws - lo)
+            a, p = draw_ordered_pairs(rng, len(pos), m)
+            sub = draw_ksubsets(rng, len(neg), k, m)
+            cs, csq = _chunk_sums(reps, spec, pos[a], pos[p], neg[sub], chunk)
+            s += cs
+            sq += csq
+        w = len(pos) / n
+        total += w * (s / num_draws)
+        var += (w * _std_error(s, sq, num_draws)) ** 2
+    return total, math.sqrt(var)
+
+
+def naive_mc_vstat(reps, y, num_classes, k, spec, num_draws, seed, chunk):
+    """Monte Carlo V-statistic stream: one default_rng(seed) for all classes.
+
+    Each class with an in-class and an out-of-class sample draws all its
+    anchors, then all positives, then all (num_draws, k) negatives with
+    replacement from the shared generator, and its losses are summed
+    chunk terms at a time. Returns the weighted value and standard error.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    total = var = 0.0
+    for c in range(num_classes):
+        pos = np.array([i for i in range(n) if y[i] == c], dtype=np.int64)
+        neg = np.array([i for i in range(n) if y[i] != c], dtype=np.int64)
+        if len(pos) < 1 or len(neg) < 1:
+            continue
+        j1 = rng.integers(0, len(pos), size=num_draws)
+        j2 = rng.integers(0, len(pos), size=num_draws)
+        dig = rng.integers(0, len(neg), size=(num_draws, k))
+        s, sq = _chunk_sums(reps, spec, pos[j1], pos[j2], neg[dig], chunk)
+        w = len(pos) / n
+        total += w * (s / num_draws)
+        var += (w * _std_error(s, sq, num_draws)) ** 2
+    return total, math.sqrt(var)

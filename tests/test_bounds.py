@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from uscrl.bounds import (BoundInputs, BoundReport, THEOREM_IDS, basic_bound,
-                          basic_linear_bound, basic_nn_bound, chernoff_lambda,
+from uscrl.bounds import (BoundInputs, THEOREM_IDS, chernoff_lambda,
                           dudley_bound, effective_n,
                           empirical_rademacher_probe, evaluate_theorem,
                           linear_class_K, linear_phi, nn_class_K,
-                          nn_log_factor, subsampled_bound,
-                          subsampled_linear_bound, subsampled_nn_bound)
+                          nn_log_factor)
 from uscrl.errors import ConfigError, NumericError, PreconditionError
 from uscrl.loss import LossSpec, default_clip, tuple_losses
 from uscrl.tuples import subsample_tuples
@@ -118,7 +116,7 @@ class TestBasicBound:
     def test_reference_total(self):
         inputs = BoundInputs(n=1000, rho=uniform_rho(10), k=3, delta=0.05,
                              loss_bound=4.0, class_k=2.0)
-        rep = basic_bound(inputs)
+        rep = evaluate_theorem("basic", inputs)
         assert rep.n_tilde == 50.0
         assert term_names(rep) == ["complexity", "confidence"]
         assert rep.total == pytest.approx(BASIC_TOTAL, rel=1e-12)
@@ -131,7 +129,7 @@ class TestBasicBound:
         # zero complexity constant isolates the confidence term
         inputs = BoundInputs(n=1000, rho=uniform_rho(10), k=2, delta=0.1,
                              loss_bound=1.0, class_k=0.0)
-        rep = basic_bound(inputs)
+        rep = evaluate_theorem("basic", inputs)
         assert term(rep, "complexity") == 0.0
         assert term(rep, "confidence") == pytest.approx(BASIC_CONF, rel=1e-12)
         assert rep.lam == pytest.approx(
@@ -143,7 +141,7 @@ class TestBasicBound:
         ck = np.array([1.0, 2.0, 4.0])
         inputs = BoundInputs(n=900, rho=rho, k=1, delta=0.1, loss_bound=4.0,
                              class_k=ck)
-        rep = basic_bound(inputs)
+        rep = evaluate_theorem("basic", inputs)
         nt = effective_n(900, rho, 1)
         assert term(rep, "complexity") == pytest.approx(
             8.0 / math.sqrt(nt) * float(rho @ ck), rel=1e-12)
@@ -151,7 +149,7 @@ class TestBasicBound:
     def test_nonvacuous_at_large_n(self):
         inputs = BoundInputs(n=100_000_000, rho=uniform_rho(5), k=2,
                              delta=0.05, loss_bound=4.0, class_k=1.0)
-        rep = basic_bound(inputs)
+        rep = evaluate_theorem("basic", inputs)
         assert rep.total < 4.0
         assert rep.flags["vacuous"] is False
 
@@ -159,15 +157,15 @@ class TestBasicBound:
         inputs = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                              loss_bound=4.0)
         with pytest.raises(ConfigError):
-            basic_bound(inputs)
+            evaluate_theorem("basic", inputs)
         bad = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                           loss_bound=4.0, class_k=[-1.0, 1.0, 1.0])
         with pytest.raises(ConfigError):
-            basic_bound(bad)
+            evaluate_theorem("basic", bad)
         wrong_len = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                                 loss_bound=4.0, class_k=[1.0, 1.0])
         with pytest.raises(ConfigError):
-            basic_bound(wrong_len)
+            evaluate_theorem("basic", wrong_len)
 
 
 class TestSubsampledBound:
@@ -178,18 +176,18 @@ class TestSubsampledBound:
         return BoundInputs(**base)
 
     def test_mc_term_reference(self):
-        rep = subsampled_bound(self.make(), emp_rad=0.0)
+        rep = evaluate_theorem("subsampled", self.make(), emp_rad=0.0)
         assert term_names(rep) == ["rademacher", "complexity", "mc",
                                    "confidence"]
         assert term(rep, "rademacher") == 0.0
         assert term(rep, "mc") == pytest.approx(SUB_MC, rel=1e-12)
 
     def test_rademacher_coefficient(self):
-        rep = subsampled_bound(self.make(), emp_rad=0.25)
+        rep = evaluate_theorem("subsampled", self.make(), emp_rad=0.25)
         assert term(rep, "rademacher") == pytest.approx(1.0, rel=1e-15)
 
     def test_confidence_uses_sixteen_fold_budget(self):
-        rep = subsampled_bound(self.make(), emp_rad=0.0)
+        rep = evaluate_theorem("subsampled", self.make(), emp_rad=0.0)
         want = 44.0 * math.sqrt(math.log(16 * 10 / 0.1) / (2.0 * 50.0))
         assert term(rep, "confidence") == pytest.approx(want, rel=1e-12)
         assert rep.lam == pytest.approx(
@@ -199,9 +197,9 @@ class TestSubsampledBound:
         no_m = BoundInputs(n=1000, rho=uniform_rho(10), k=2, delta=0.1,
                            loss_bound=1.0, class_k=0.0)
         with pytest.raises(ConfigError):
-            subsampled_bound(no_m, emp_rad=0.1)
+            evaluate_theorem("subsampled", no_m, emp_rad=0.1)
         with pytest.raises(ConfigError):
-            subsampled_bound(self.make(), emp_rad=-0.1)
+            evaluate_theorem("subsampled", self.make(), emp_rad=-0.1)
 
 
 class TestLinearFamily:
@@ -218,7 +216,7 @@ class TestLinearFamily:
     def test_basic_linear_terms(self):
         inputs = BoundInputs(n=1000, rho=uniform_rho(10), k=2, delta=0.1,
                              loss_bound=4.0, family_params=self.PARAMS)
-        rep = basic_linear_bound(inputs)
+        rep = evaluate_theorem("basic_linear", inputs)
         assert term_names(rep) == ["small", "complexity", "confidence"]
         nt = 50.0
         assert rep.n_tilde == nt
@@ -232,7 +230,7 @@ class TestLinearFamily:
         inputs = BoundInputs(n=1000, rho=uniform_rho(10), k=2, delta=0.1,
                              loss_bound=4.0, m_tuples=2500,
                              family_params=self.PARAMS)
-        rep = subsampled_linear_bound(inputs)
+        rep = evaluate_theorem("subsampled_linear", inputs)
         assert term_names(rep) == ["mc_small", "small", "complexity", "mc",
                                    "confidence"]
         assert term(rep, "mc_small") == pytest.approx(4.0 / 2500, rel=1e-15)
@@ -244,16 +242,16 @@ class TestLinearFamily:
         inputs = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                              loss_bound=4.0, family_params={"eta": 1.0})
         with pytest.raises(ConfigError, match="missing"):
-            basic_linear_bound(inputs)
+            evaluate_theorem("basic_linear", inputs)
         bad = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                           loss_bound=4.0,
                           family_params={**self.PARAMS, "s": -1.0})
         with pytest.raises(ConfigError):
-            basic_linear_bound(bad)
+            evaluate_theorem("basic_linear", bad)
         no_m = BoundInputs(n=100, rho=uniform_rho(3), k=1, delta=0.1,
                            loss_bound=4.0, family_params=self.PARAMS)
         with pytest.raises(ConfigError):
-            subsampled_linear_bound(no_m)
+            evaluate_theorem("subsampled_linear", no_m)
 
 
 class TestNNFamily:
@@ -271,7 +269,7 @@ class TestNNFamily:
     def test_basic_nn_terms(self):
         inputs = BoundInputs(n=500, rho=uniform_rho(5), k=2, delta=0.1,
                              loss_bound=4.0, family_params=self.PARAMS)
-        rep = basic_nn_bound(inputs)
+        rep = evaluate_theorem("basic_nn", inputs)
         assert term_names(rep) == ["small", "complexity", "confidence"]
         nt = 50.0
         assert rep.n_tilde == nt
@@ -282,7 +280,7 @@ class TestNNFamily:
         inputs = BoundInputs(n=500, rho=uniform_rho(5), k=2, delta=0.1,
                              loss_bound=4.0, m_tuples=900,
                              family_params=self.PARAMS)
-        rep = subsampled_nn_bound(inputs)
+        rep = evaluate_theorem("subsampled_nn", inputs)
         assert term_names(rep) == ["mc_small", "small", "complexity", "mc",
                                    "confidence"]
         assert term(rep, "mc_small") == pytest.approx(4.0 / 900, rel=1e-15)
@@ -295,12 +293,12 @@ class TestNNFamily:
         # complexity term through sqrt(W)
         small = BoundInputs(n=500, rho=uniform_rho(5), k=2, delta=0.1,
                             loss_bound=4.0,
-                            family_params={**self.PARAMS, "widths": [16]})
+                            family_params={**self.PARAMS, "widths": [8, 8]})
         big = BoundInputs(n=500, rho=uniform_rho(5), k=2, delta=0.1,
                           loss_bound=4.0,
                           family_params={**self.PARAMS, "widths": [16, 48]})
-        t_small = term(basic_nn_bound(small), "complexity")
-        t_big = term(basic_nn_bound(big), "complexity")
+        t_small = term(evaluate_theorem("basic_nn", small), "complexity")
+        t_big = term(evaluate_theorem("basic_nn", big), "complexity")
         assert t_big == pytest.approx(t_small * 2.0, rel=1e-12)
 
 
@@ -334,20 +332,6 @@ class TestDispatchAndReport:
     def test_subsampled_needs_emp_rad(self):
         with pytest.raises(ConfigError, match="emp_rad"):
             evaluate_theorem("subsampled", make_inputs("subsampled"))
-
-    @pytest.mark.parametrize("theorem", THEOREM_IDS)
-    def test_dispatch_matches_direct_call(self, theorem):
-        direct = {
-            "basic": basic_bound, "basic_linear": basic_linear_bound,
-            "basic_nn": basic_nn_bound,
-            "subsampled_linear": subsampled_linear_bound,
-            "subsampled_nn": subsampled_nn_bound,
-        }
-        inputs = make_inputs(theorem)
-        rep = run(theorem, inputs)
-        if theorem != "subsampled":
-            assert rep == direct[theorem](inputs)
-        assert isinstance(rep, BoundReport)
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_report_json(self, theorem):

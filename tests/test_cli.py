@@ -5,15 +5,20 @@ stderr messages are checked without spawning subprocesses. Output trees
 live under tmp_path.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uscrl import cli
 from uscrl.cli import main
@@ -368,6 +373,39 @@ class TestEstimate:
         assert code == 2
         assert "input dim 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", [
+        "ustat_exact", "ustat_mc", "vstat_exact", "vstat_mc", "subsampled",
+        "population_mc", "enumeration_mean"])
+    def test_written_estimator_name_is_the_configured_one(self, tmp_path,
+                                                          estimator):
+        prefix = self._checkpoint(tmp_path)
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+              "n": 18}
+        cfg = {"dataset": ds, "k": 2, "estimator": estimator,
+               "checkpoint": prefix, "m_tuples": 50, "mc_draws": 50,
+               "seed": 4}
+        code, out = run(tmp_path, "estimate", cfg)
+        assert code == 0
+        with open(out / "estimate.json") as f:
+            assert json.load(f)["estimator"] == estimator
+
+    @pytest.mark.parametrize("meta,needle", [
+        ("{not json", "not valid JSON"),
+        (json.dumps({"family": "linear", "max_col_sum": 8.0,
+                     "max_spectral": 2.0}), "missing key(s) shapes"),
+    ])
+    def test_malformed_checkpoint_metadata_exits_2(self, tmp_path, capsys,
+                                                    meta, needle):
+        prefix = self._checkpoint(tmp_path)
+        Path(prefix + ".json").write_text(meta)
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "n": 24}
+        cfg = {"dataset": ds, "k": 1, "estimator": "ustat_exact",
+               "checkpoint": prefix}
+        code, _ = run(tmp_path, "estimate", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert needle in err and prefix + ".json" in err
+
     def test_subsampled_estimate_reports_spread(self, tmp_path):
         prefix = self._checkpoint(tmp_path)
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
@@ -437,6 +475,76 @@ class TestBounds:
         assert "config error:" in capsys.readouterr().err
 
 
+class TestFamilyParams:
+    LINEAR = {"theorem": "basic_linear", "n": 1000, "num_classes": 5, "k": 2,
+              "delta": 0.1, "loss_bound": 4.0,
+              "family_params": {"eta": 1.0, "s": 2.0, "a": 1.0, "b": 1.0,
+                                "d": 16}}
+    NN = {"theorem": "basic_nn", "n": 1000, "num_classes": 5, "k": 2,
+          "delta": 0.1, "loss_bound": 4.0,
+          "family_params": {"eta": 1.0, "b": 1.2, "caps": [2.0, 1.5],
+                            "xis": [1.0, 1.0], "widths": [16, 14]}}
+
+    def test_valid_configs_pass(self, tmp_path):
+        for i, cfg in enumerate((self.LINEAR, self.NN)):
+            code, _ = run(tmp_path, "bounds", cfg, out_name=f"o{i}")
+            assert code == 0
+
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys):
+        fam = {**self.LINEAR["family_params"], "d": "x"}
+        code, _ = run(tmp_path, "bounds", {**self.LINEAR,
+                                           "family_params": fam})
+        assert code == 2
+        assert "family_params['d']" in capsys.readouterr().err
+
+    def test_layer_lists_of_unequal_length_exit_2(self, tmp_path, capsys):
+        fam = {**self.NN["family_params"], "caps": [1, 2], "xis": [1],
+               "widths": [3]}
+        code, _ = run(tmp_path, "bounds", {**self.NN, "family_params": fam})
+        assert code == 2
+        assert "one entry per layer" in capsys.readouterr().err
+
+    def test_empty_layer_list_exits_2(self, tmp_path, capsys):
+        fam = {**self.NN["family_params"], "caps": [], "xis": [],
+               "widths": []}
+        code, _ = run(tmp_path, "bounds", {**self.NN, "family_params": fam})
+        assert code == 2
+        assert "nonempty" in capsys.readouterr().err
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=6)
+    NAMES = ("eta", "s", "a", "b", "d", "caps", "xis", "widths", "extra")
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.sampled_from(["linear", "nn"]),
+           sub=st.booleans(),
+           updates=st.dictionaries(st.sampled_from(NAMES), JSON, max_size=3),
+           drops=st.sets(st.sampled_from(NAMES), max_size=2))
+    def test_mutated_family_params_exit_0_or_2(self, base, sub, updates,
+                                               drops):
+        cfg = dict(self.LINEAR if base == "linear" else self.NN)
+        if sub:
+            cfg["theorem"] = cfg["theorem"].replace("basic", "subsampled")
+            cfg["m_tuples"] = 500
+        fam = {key: v for key, v in {**cfg["family_params"],
+                                     **updates}.items() if key not in drops}
+        cfg["family_params"] = fam
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["bounds", "--config", str(path), "--out",
+                             str(Path(tmp) / "out")])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 class TestExperiments:
     TRAIN = {"family": "linear", "out_dim": 3, "epochs": 1, "batch_size": 16,
              "lr": 0.1, "eval_draws": 300}
@@ -459,6 +567,20 @@ class TestExperiments:
         assert all(r[1] == "12" for r in sub_rows)
         man = read_manifest(out)
         assert man["subcommand"] == "experiment:regimes"
+
+    def test_regimes_pool_matches_serial_bytes(self, tmp_path):
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,
+              "n": 24}
+        cfg = {"dataset": ds, "n_disjoint": 3, "k": 1, "m_grid": [12],
+               "seeds": [0, 1], "train": self.TRAIN, "seed": 0}
+        code, serial = run(tmp_path, ["experiment", "regimes"], cfg,
+                           "--jobs", "1", out_name="serial")
+        assert code == 0
+        code, pooled = run(tmp_path, ["experiment", "regimes"], cfg,
+                           "--jobs", "2", out_name="pooled")
+        assert code == 0
+        assert ((serial / "regimes.csv").read_bytes()
+                == (pooled / "regimes.csv").read_bytes())
 
     def test_regimes_error_carries_job_index(self, tmp_path, capsys):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "n": 24}

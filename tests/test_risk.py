@@ -8,7 +8,7 @@ from uscrl.dataset import GaussianSpec
 from uscrl.errors import ConfigError, PreconditionError, SizeError
 from uscrl.loss import LossSpec, default_clip
 from uscrl.model import LinearModel
-from uscrl.risk import (Exact, MonteCarlo, RiskEstimate,
+from uscrl.risk import (_CHUNK, Exact, MonteCarlo, RiskEstimate,
                         decoupled_block_estimate, population_risk_mc,
                         subsampled_risk, ustat_conditional, ustat_overall,
                         vstat_overall)
@@ -16,7 +16,8 @@ from uscrl.tuples import subsample_tuples
 
 from conftest import make_pool, rand_linear
 from naive_ref import (naive_class_ustat, naive_mass_weighted_risk,
-                       naive_overall_ustat, naive_overall_vstat)
+                       naive_mc_ustat, naive_mc_vstat, naive_overall_ustat,
+                       naive_overall_vstat)
 
 SPEC = LossSpec(clip=default_clip(2))
 
@@ -124,6 +125,32 @@ class TestMonteCarloUstat:
             MonteCarlo(0)
 
 
+class TestMonteCarloStreams:
+    # b > _CHUNK, so the U stream spans several draw chunks and the V
+    # stream several loss chunks
+    DRAWS = _CHUNK + 4465
+
+    def test_ustat_per_class_seeds_match_oracle(self):
+        ds = make_pool([5, 6, 4], dim=4, seed=120)
+        model = rand_linear(4, 3, seed=121)
+        est = ustat_overall(model, ds, 2, SPEC,
+                            mode=MonteCarlo(self.DRAWS, seed=9))
+        want = naive_mc_ustat(_reps(model, ds), ds.y.tolist(), 3, 2, SPEC,
+                              self.DRAWS, 9, _CHUNK)
+        assert (est.value, est.std_error) == want
+        assert est.n_terms == 3 * self.DRAWS
+
+    def test_vstat_shared_stream_matches_oracle(self):
+        ds = make_pool([5, 6, 4], dim=4, seed=122)
+        model = rand_linear(4, 3, seed=123)
+        est = vstat_overall(model, ds, 2, SPEC,
+                            mode=MonteCarlo(self.DRAWS, seed=9))
+        want = naive_mc_vstat(_reps(model, ds), ds.y.tolist(), 3, 2, SPEC,
+                              self.DRAWS, 9, _CHUNK)
+        assert (est.value, est.std_error) == want
+        assert est.n_terms == 3 * self.DRAWS
+
+
 class TestDecoupled:
     def test_identity_permutation_blocks(self):
         # identity permutations pick consecutive pairs and negative blocks
@@ -195,7 +222,7 @@ class TestVstat:
         want = naive_overall_vstat(_reps(model, ds), ds.y.tolist(),
                                    len(sizes), k, "logistic", SPEC.clip)
         est = vstat_overall(model, ds, k, SPEC)
-        assert est.estimator == "vstat"
+        assert est.estimator == "vstat_exact"
         assert est.value == pytest.approx(want, rel=1e-12)
 
     def test_feasible_where_ustat_is_not(self):
@@ -214,6 +241,7 @@ class TestVstat:
         model = rand_linear(3, 2, seed=88)
         exact = vstat_overall(model, ds, 1, SPEC)
         mc = vstat_overall(model, ds, 1, SPEC, mode=MonteCarlo(4000, seed=5))
+        assert mc.estimator == "vstat_mc"
         assert abs(mc.value - exact.value) < 4 * mc.std_error
 
     def test_gap_to_ustat_shrinks(self):
