@@ -8,8 +8,7 @@ experiment protocols tying them together.
 
 __version__ = "0.1.0"
 
-from .dataset import (ClassStats, GaussianSpec, LabeledDataset, class_stats,
-                      generate_gaussian, load_idx)
+from .dataset import GaussianSpec, LabeledDataset, generate_gaussian, load_idx
 from .errors import (ConfigError, FormatError, NumericError,
                      PreconditionError, SizeError, UscrlError)
 from .loss import LossSpec, default_clip, loss_grad, loss_value
@@ -19,11 +18,10 @@ from .model import (LinearModel, LinearProbe, MlpModel, fit_probe,
 from .risk import (Exact, MonteCarlo, RiskEstimate, decoupled_block_estimate,
                    population_risk_mc, subsampled_risk, ustat_conditional,
                    ustat_overall, vstat_overall)
-from .bounds import (BoundInputs, BoundReport, chernoff_lambda, dudley_bound,
-                     effective_n, empirical_rademacher_probe,
-                     evaluate_theorem, linear_class_K, nn_class_K)
+from .bounds import (BoundInputs, BoundReport, chernoff_lambda, effective_n,
+                     evaluate_theorem)
 from .trainer import (TrainConfig, TrainReport, compare_regimes,
                       sample_complexity_search, train)
 from .tuples import (Tuple, TupleSet, count_all_tuples, disjoint_tuples,
-                     enumerate_all_tuples, greedy_iid_tuples,
+                     enumerate_all_tuples, greedy_iid_tuples, regime_tuples,
                      subsample_tuples, tuple_mass)

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, PreconditionError
-from .loss import LossSpec, loss_value, scores_from_reps
+from .errors import ConfigError, PreconditionError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -44,12 +43,10 @@ THEOREM_CONSTANTS = {
         "small_coef": 32.0, "complexity_coef": 3072.0 * SQRT2,
         "phi_inner_a": 44.0, "phi_inner_b": 7.0,
         "conf_coef": 44.0, "conf_log_mult": 8.0, "lambda_mult": 8.0,
-        "k_small": 4.0, "k_coef": 384.0 * SQRT2,
     },
     "basic_nn": {
         "small_coef": 32.0, "complexity_coef": 192.0, "log_inner": 12.0,
         "conf_coef": 44.0, "conf_log_mult": 8.0, "lambda_mult": 8.0,
-        "k_small": 4.0, "k_coef": 24.0,
     },
     "subsampled_linear": {
         "mc_small_coef": 4.0, "small_coef": 32.0,
@@ -64,7 +61,7 @@ THEOREM_CONSTANTS = {
         "mc_coef": 6.0, "mc_log_mult": 8.0,
         "conf_coef": 44.0, "conf_log_mult": 16.0, "lambda_mult": 16.0,
     },
-    "chernoff": {"factor": 3.0, "default_mult": 2.0},
+    "chernoff": {"factor": 3.0},
 }
 
 THEOREM_IDS = tuple(t for t in THEOREM_CONSTANTS if t != "chernoff")
@@ -219,14 +216,6 @@ def linear_phi(n: int, k: int, d: float, loss_bound: float, eta: float,
             * math.log(n * loss_bound))
 
 
-def linear_class_K(eta: float, s: float, a: float, b: float, n: int, k: int,
-                   d: int, loss_bound: float) -> float:
-    """Complexity constant of the norm-capped linear class."""
-    c = THEOREM_CONSTANTS["basic_linear"]
-    phi = linear_phi(n, k, d, loss_bound, eta, s, a, b)
-    return c["k_small"] / n + c["k_coef"] * eta * s * a * b * b * phi
-
-
 def nn_log_factor(n: int, eta: float, b: float, caps, xis) -> float:
     """ln(12 eta N L b^2 prod xi_l^2 s_l^2 + 1) for a capped network."""
     caps = np.asarray(caps, dtype=np.float64)
@@ -235,19 +224,6 @@ def nn_log_factor(n: int, eta: float, b: float, caps, xis) -> float:
     depth = caps.shape[0]
     inner = THEOREM_CONSTANTS["basic_nn"]["log_inner"]
     return math.log(inner * eta * n * depth * b * b * gain + 1.0)
-
-
-def nn_class_K(loss_bound: float, neuron_count: int, eta: float, n: int,
-               b: float, caps, xis) -> float:
-    """Complexity constant of the spectrally-capped network class.
-
-    ``neuron_count`` is W = sum of layer widths excluding the input layer.
-    """
-
-    c = THEOREM_CONSTANTS["basic_nn"]
-    logf = nn_log_factor(n, eta, b, caps, xis)
-    return c["k_small"] / n + c["k_coef"] * loss_bound * math.sqrt(
-        neuron_count * logf)
 
 
 def evaluate_theorem(theorem: str, inputs: BoundInputs,
@@ -311,100 +287,3 @@ def evaluate_theorem(theorem: str, inputs: BoundInputs,
     flags = {"vacuous": total >= m, "lambda_ge_1": lam >= 1.0}
     return BoundReport(theorem=theorem, n_tilde=nt, lam=lam,
                        terms=tuple(terms), total=total, flags=flags)
-
-
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-6,
-                      max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with the standard 1/15 error estimate."""
-    if b <= a:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = left + right - whole
-        if depth >= max_depth or abs(err) <= 15.0 * tol * max(abs(left + right), 1e-300):
-            return left + right + err / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, rel_tol, 0)
-
-
-def dudley_bound(log_cover, n: int, b_sup: float,
-                 alpha_grid=None) -> float:
-    """inf_alpha [4 alpha + 12 int_alpha^B sqrt(log_cover(eps)/n) d eps].
-
-    ``log_cover(eps)`` must upper-bound ln(2 N(eps)) for the function
-    class on the n evaluation points; ``b_sup`` is the sup of the
-    empirical L2 radius B. The infimum is taken over a log-spaced alpha
-    grid (32 points spanning [B*1e-6, B] by default) with the integral
-    evaluated by adaptive Simpson quadrature.
-    """
-
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if b_sup <= 0:
-        raise ConfigError("b_sup must be positive")
-    if alpha_grid is None:
-        alpha_grid = np.geomspace(b_sup * 1e-6, b_sup, 32)
-    else:
-        alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
-        if np.any(alpha_grid <= 0) or np.any(alpha_grid > b_sup):
-            raise ConfigError("alpha grid must lie in (0, b_sup]")
-
-    def integrand(eps):
-        val = log_cover(eps)
-        if val < 0:
-            raise NumericError(f"log_cover({eps}) = {val} is negative")
-        return math.sqrt(val / n)
-
-    best = math.inf
-    # Integrate once over [alpha_min, B] in grid segments and reuse the
-    # pieces: the integral from alpha_i to B is a suffix sum.
-    grid = np.sort(alpha_grid)
-    points = grid if grid[-1] >= b_sup else np.append(grid, b_sup)
-    segs = [_adaptive_simpson(integrand, float(lo), float(hi))
-            for lo, hi in zip(points[:-1], points[1:])]
-    suffix = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
-    for alpha, tail in zip(grid, suffix[:grid.shape[0]]):
-        best = min(best, 4.0 * float(alpha) + 12.0 * float(tail))
-    return best
-
-
-def empirical_rademacher_probe(candidates, ds, tset, spec: LossSpec,
-                               num_sigma: int = 256, seed: int = 0) -> float:
-    """Monte Carlo lower estimate of the empirical Rademacher complexity.
-
-    Maximizes |mean_j sigma_j l_f(T_j)| over a finite candidate list only,
-    so the value lower-bounds the true supremum over the whole class.
-    Suitable for sanity checks against upper bounds, never as a
-    certified upper bound itself.
-    """
-
-    if num_sigma < 1:
-        raise ConfigError("num_sigma must be >= 1")
-    if tset.m_count == 0:
-        raise PreconditionError("empty tuple set")
-    if not candidates:
-        raise ConfigError("need at least one candidate model")
-    n = tset.m_count
-    loss_rows = np.empty((len(candidates), n))
-    for i, model in enumerate(candidates):
-        reps = model.forward(ds.x)
-        v = scores_from_reps(reps, tset.anchors, tset.positives, tset.negatives)
-        loss_rows[i] = loss_value(spec, v)
-    rng = np.random.default_rng(seed)
-    sigmas = rng.integers(0, 2, size=(num_sigma, n)) * 2 - 1
-    corr = loss_rows @ sigmas.T / n  # (candidates, num_sigma)
-    return float(np.abs(corr).max(axis=0).mean())

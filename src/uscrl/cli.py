@@ -36,9 +36,8 @@ from .risk import (Exact, MonteCarlo, RiskEstimate, population_risk_mc,
                    subsampled_risk, ustat_overall, vstat_overall)
 from .trainer import (TrainConfig, compare_regimes, sample_complexity_search,
                       train)
-from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
-                     enumerate_all_tuples, greedy_iid_tuples,
-                     subsample_tuples, tuple_masses)
+from .tuples import (DEFAULT_CAP, REGIME_SUB, enumerate_all_tuples,
+                     regime_tuples, subsample_tuples, tuple_masses)
 
 CSV_SCHEMAS = {
     "bounds_sweep": "bounds-sweep-v1",
@@ -174,16 +173,11 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     ds = _load_pool(cfg["dataset"], seed)
     k = cfg["k"]
     regime = cfg["regime"]
-    cap = cfg.get("cap", DEFAULT_CAP)
-    if regime == REGIME_SUB:
-        if "m_tuples" not in cfg:
-            raise ConfigError("config field m_tuples: required for the "
-                              "subsampled regime")
-        ts = subsample_tuples(ds, k, cfg["m_tuples"], seed=seed)
-    elif regime == REGIME_IID:
-        ts = greedy_iid_tuples(ds, k, seed=seed)
-    else:
-        ts = enumerate_all_tuples(ds, k, cap=cap)
+    if regime == REGIME_SUB and "m_tuples" not in cfg:
+        raise ConfigError("config field m_tuples: required for the "
+                          "subsampled regime")
+    ts = regime_tuples(ds, k, regime, seed, m_tuples=cfg.get("m_tuples"),
+                       cap=cfg.get("cap", DEFAULT_CAP))
     ts.validate(ds)
     path = os.path.join(out_dir, "tuples.jsonl")
     with atomic_write(path) as f:
@@ -434,7 +428,7 @@ def main(argv=None) -> int:
         with open(args.config) as f:
             try:
                 cfg = json.load(f)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also ints over the digit limit
                 raise ConfigError(f"config is not valid JSON: {e}") from e
         _validate_config(cfg, section)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)

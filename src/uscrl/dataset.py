@@ -7,6 +7,7 @@ the :class:`LabeledDataset` container defined here.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -133,42 +134,6 @@ class LabeledDataset:
         return LabeledDataset(self.x[idx], self.y[idx], self.num_classes)
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Per-class tuple bookkeeping for a pool at a given k.
-
-    n_pos is the class size N_c+, n_neg the complement size N_c-, and
-    n_disjoint = min(floor(n_pos / 2), floor(n_neg / k)) is the number of
-    disjoint valid tuples the greedy construction yields for the class.
-    """
-
-    class_id: int
-    n_pos: int
-    n_neg: int
-    n_disjoint: int
-    rho_hat: float
-
-
-def class_stats(ds: LabeledDataset, k: int) -> list[ClassStats]:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if ds.n == 0:
-        raise ConfigError("empty dataset")
-    sizes = ds.class_sizes()
-    out = []
-    for c in range(ds.num_classes):
-        n_pos = int(sizes[c])
-        n_neg = ds.n - n_pos
-        out.append(ClassStats(
-            class_id=c,
-            n_pos=n_pos,
-            n_neg=n_neg,
-            n_disjoint=min(n_pos // 2, n_neg // k),
-            rho_hat=n_pos / ds.n,
-        ))
-    return out
-
-
 def generate_gaussian(spec: GaussianSpec, n: int, seed: int) -> LabeledDataset:
     """Draw n labeled samples from the mixture.
 
@@ -212,6 +177,16 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
+def _read_payload(f, count: int, what: str) -> bytes:
+    """The rest of the file, which must hold exactly count bytes; the claim
+    is checked against the file size before anything is read."""
+    have = os.fstat(f.fileno()).st_size - f.tell()
+    if have != count:
+        raise FormatError(f"{what}: expected {count} bytes, got {have}"
+                          + (" (trailing bytes)" if have > count else ""))
+    return f.read(count)
+
+
 def load_idx(images_path: str, labels_path: str,
              num_classes: int | None = None) -> LabeledDataset:
     """Load an IDX image/label file pair (the MNIST container format).
@@ -228,20 +203,14 @@ def load_idx(images_path: str, labels_path: str,
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(
                 f"images magic: expected {_IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}")
-        payload = _read_exact(f, count * rows * cols, "images payload")
-        extra = f.read(1)
-        if extra:
-            raise FormatError("images payload: trailing bytes after pixel data")
+        payload = _read_payload(f, count * rows * cols, "images payload")
     with open(labels_path, "rb") as f:
         head = _read_exact(f, 8, "labels header")
         magic, label_count = struct.unpack(">II", head)
         if magic != _IDX_LABELS_MAGIC:
             raise FormatError(
                 f"labels magic: expected {_IDX_LABELS_MAGIC:#010x}, got {magic:#010x}")
-        label_bytes = _read_exact(f, label_count, "labels payload")
-        extra = f.read(1)
-        if extra:
-            raise FormatError("labels payload: trailing bytes after label data")
+        label_bytes = _read_payload(f, label_count, "labels payload")
     if label_count != count:
         raise FormatError(
             f"labels count: {label_count} labels for {count} images")

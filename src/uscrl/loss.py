@@ -58,16 +58,6 @@ class LossSpec:
         return cls(kind=kind, clip=default_clip(k) if clip is None else clip,
                    margin=margin)
 
-    @property
-    def eta(self) -> float:
-        """Lipschitz constant in the sup norm over score vectors."""
-        return 1.0
-
-    @property
-    def bound(self) -> float:
-        """Upper bound on attained loss values (inf when unclipped logistic)."""
-        return self.clip
-
 
 def _kmajor_raw(spec: LossSpec, vt: np.ndarray):
     """Unclipped loss of k-major scores vt (k, batch), and for logistic its
@@ -123,12 +113,18 @@ def loss_grad(spec: LossSpec, v) -> np.ndarray:
     return g[:, 0] if scalar else np.ascontiguousarray(g.T)
 
 
+def _scores(ra: np.ndarray, rp: np.ndarray, rn: np.ndarray):
+    """diff = rp - rn and the scores v = einsum(ra, diff), (batch, k), from
+    anchor and positive reps (batch, d) and negative reps (batch, k, d)."""
+    diff = rp[:, None, :] - rn
+    return diff, np.einsum("bd,bkd->bk", ra, diff)
+
+
 def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndarray:
     """Score matrix (batch, k) from row representations and index columns."""
-    ra = np.take(reps, anchors, axis=0)
-    diff = (np.take(reps, positives, axis=0)[:, None, :]
-            - np.take(reps, negatives, axis=0))
-    return np.einsum("bd,bkd->bk", ra, diff)
+    return _scores(np.take(reps, anchors, axis=0),
+                   np.take(reps, positives, axis=0),
+                   np.take(reps, negatives, axis=0))[1]
 
 
 def _pool_rows(idx: np.ndarray, n: int):

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,20 +30,30 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import atomic_write
-from .loss import LossSpec, _pool_rows, _value_and_grad
+from .loss import LossSpec, _pool_rows, _scores, _value_and_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
 
 ACTIVATION_XI = {"relu": 1.0, "identity": 1.0}
 
+# fit_probe's softmax-regression SGD
+PROBE_EPOCHS = 40
+PROBE_LR = 0.5
+PROBE_BATCH = 64
+PROBE_VAL_FRACTION = 0.2
+
+
+def _check_caps(caps) -> None:
+    """Raise unless every norm cap is a positive finite number."""
+    if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+               and 0 < s <= sys.float_info.max for s in caps):
+        raise ConfigError("norm caps must be positive finite numbers")
+
 
 def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "identity":
-        return z
-    raise ConfigError(f"unknown activation {kind!r}")
+    """ReLU or identity; the model constructors admit no other kind."""
+    return np.maximum(z, 0.0) if kind == "relu" else z
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -75,8 +88,7 @@ class LinearModel:
         self.a_mat = np.asarray(self.a_mat, dtype=np.float64)
         if self.a_mat.ndim != 2:
             raise ConfigError("a_mat must be a matrix")
-        if self.max_col_sum <= 0 or self.max_spectral <= 0:
-            raise ConfigError("norm caps must be positive")
+        _check_caps([self.max_col_sum, self.max_spectral])
 
     @property
     def in_dim(self) -> int:
@@ -95,8 +107,7 @@ class LinearModel:
         return ["identity"]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x @ self.a_mat.T
+        return np.asarray(x, dtype=np.float64) @ self.a_mat.T
 
     def set_weights(self, ws):
         (self.a_mat,) = ws
@@ -113,21 +124,17 @@ class MlpModel:
         L = len(self.layer_weights)
         if L == 0:
             raise ConfigError("at least one layer required")
-        if len(self.spectral_caps) != L or len(self.layer_activations) != L:
-            raise ConfigError("caps/activations must match layer count")
+        caps, acts = self.spectral_caps, self.layer_activations
+        if not (isinstance(caps, (list, tuple)) and isinstance(acts, (list, tuple))
+                and len(caps) == L == len(acts)):
+            raise ConfigError("caps/activations must be lists, one per layer")
         for l in range(1, L):
             if self.layer_weights[l].shape[1] != self.layer_weights[l - 1].shape[0]:
                 raise ConfigError(f"layer {l} input dim mismatch")
-        for s in self.spectral_caps:
-            if s <= 0:
-                raise ConfigError("spectral caps must be positive")
-        for kind in self.layer_activations:
-            if kind not in ACTIVATION_XI:
+        _check_caps(caps)
+        for kind in acts:
+            if not isinstance(kind, str) or kind not in ACTIVATION_XI:
                 raise ConfigError(f"unknown activation {kind!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.layer_weights)
 
     @property
     def in_dim(self) -> int:
@@ -155,10 +162,6 @@ class MlpModel:
         self.layer_weights = list(ws)
 
 
-def param_count(model) -> int:
-    return int(sum(w.size for w in model.weights))
-
-
 def make_linear(in_dim: int, out_dim: int, max_col_sum: float,
                 max_spectral: float, seed: int) -> LinearModel:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, then projected."""
@@ -180,13 +183,9 @@ def make_mlp(widths, spectral_caps, seed: int,
     if np.isscalar(spectral_caps):
         spectral_caps = [float(spectral_caps)] * L
     rng = np.random.default_rng(seed)
-    ws = []
-    for l in range(L):
-        fan_in = widths[l]
-        bound = 1.0 / math.sqrt(fan_in)
-        ws.append(rng.uniform(-bound, bound, size=(widths[l + 1], fan_in)))
-    model = MlpModel(ws, list(spectral_caps), list(activations))
-    return project(model)
+    ws = [rng.uniform(-1.0 / math.sqrt(i), 1.0 / math.sqrt(i), size=(o, i))
+          for i, o in zip(widths[:-1], widths[1:])]
+    return project(MlpModel(ws, list(spectral_caps), list(activations)))
 
 
 def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
@@ -277,8 +276,7 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     d = reps.shape[1]
     r = np.take(reps, inverse, axis=0)
     ra = r[:b]
-    diff = r[b:2 * b, None, :] - r[2 * b:].reshape(b, k, d)
-    v = np.einsum("bd,bkd->bk", ra, diff)
+    diff, v = _scores(ra, r[b:2 * b], r[2 * b:].reshape(b, k, d))
     losses, gt = _value_and_grad(spec, np.ascontiguousarray(v.T))
     gv = np.divide(gt, b, out=gt).T  # gradient of the batch mean, (b, k)
 
@@ -317,8 +315,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def fit_probe(reps: np.ndarray, labels: np.ndarray, num_classes: int,
-              epochs: int = 40, lr: float = 0.5, seed: int = 0,
-              batch_size: int = 64, val_fraction: float = 0.2):
+              seed: int = 0):
     """Softmax-regression probe on frozen representations, seeded SGD.
 
     Returns (probe, held-out accuracy). A single-class input yields a
@@ -333,33 +330,31 @@ def fit_probe(reps: np.ndarray, labels: np.ndarray, num_classes: int,
         raise ConfigError("probe needs at least 2 samples")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
+    n_val = max(1, int(round(PROBE_VAL_FRACTION * n)))
     val, train = perm[:n_val], perm[n_val:]
     if train.size == 0:
         train, val = val, val
 
+    w = np.zeros((num_classes, reps.shape[1]))
+    bias = np.zeros(num_classes)
     present = np.flatnonzero(np.bincount(labels[train]))  # sorted labels
     if present.size < 2:
         warnings.warn("probe training labels contain a single class; "
                       "returning a degenerate constant probe")
-        w = np.zeros((num_classes, reps.shape[1]))
-        bias = np.zeros(num_classes)
         bias[present[0] if present.size else 0] = 1.0
         probe = LinearProbe(w, bias, degenerate=True)
         return probe, probe.accuracy(reps[val], labels[val])
 
-    w = np.zeros((num_classes, reps.shape[1]))
-    bias = np.zeros(num_classes)
     onehot = np.eye(num_classes)
-    for _ in range(epochs):
+    for _ in range(PROBE_EPOCHS):
         order = rng.permutation(train.size)
-        for lo in range(0, train.size, batch_size):
-            idx = train[order[lo:lo + batch_size]]
+        for lo in range(0, train.size, PROBE_BATCH):
+            idx = train[order[lo:lo + PROBE_BATCH]]
             xb, yb = reps[idx], labels[idx]
             p = _softmax(xb @ w.T + bias)
             g = (p - onehot[yb]) / idx.size
-            w -= lr * (g.T @ xb)
-            bias -= lr * g.sum(axis=0)
+            w -= PROBE_LR * (g.T @ xb)
+            bias -= PROBE_LR * g.sum(axis=0)
     probe = LinearProbe(w, bias)
     return probe, probe.accuracy(reps[val], labels[val])
 
@@ -399,24 +394,30 @@ def save_checkpoint(model, path_prefix: str) -> tuple[str, str]:
 
 
 def load_checkpoint(path_prefix: str):
+    """Model of a checkpoint pair; FormatError on any malformed part."""
     json_path, bin_path = path_prefix + ".json", path_prefix + ".bin"
+
+    def bad(what: str) -> FormatError:
+        return FormatError(f"checkpoint metadata {json_path}: {what}")
+
     with open(json_path) as f:
         try:
             meta = json.load(f)
         except ValueError as e:
-            raise FormatError(f"checkpoint metadata {json_path}: not valid "
-                              f"JSON ({e})") from None
+            raise bad(f"not valid JSON ({e})") from None
     if not isinstance(meta, dict):
-        raise FormatError(f"checkpoint metadata {json_path}: not a JSON "
-                          f"object")
+        raise bad("not a JSON object")
     linear = meta.get("family") == "linear"
     keys = ["family", "shapes"] + (["max_col_sum", "max_spectral"] if linear
                                    else ["spectral_caps", "activations"])
     missing = [key for key in keys if key not in meta]
     if missing:
-        raise FormatError(f"checkpoint metadata {json_path}: missing key(s) "
-                          f"{', '.join(missing)}")
-    shapes = [tuple(s) for s in meta["shapes"]]
+        raise bad(f"missing key(s) {', '.join(missing)}")
+    shapes = meta["shapes"]
+    if not (isinstance(shapes, list) and shapes and (len(shapes) == 1 or not linear)
+            and all(isinstance(s, list) and len(s) == 2
+                    and all(type(v) is int and v > 0 for v in s) for s in shapes)):
+        raise bad("shapes must be [rows, cols] pairs of positive ints")
     with open(bin_path, "rb") as f:
         head = f.read(16)
         if len(head) != 16 or head[:8] != CHECKPOINT_MAGIC:
@@ -427,16 +428,20 @@ def load_checkpoint(path_prefix: str):
         if count != len(shapes):
             raise FormatError(
                 f"checkpoint arrays: blob has {count}, meta lists {len(shapes)}")
-        ws = []
-        for shape in shapes:
-            need = int(np.prod(shape)) * 8
-            buf = f.read(need)
-            if len(buf) != need:
-                raise FormatError("checkpoint payload: truncated weight data")
-            ws.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        if f.read(1):
-            raise FormatError("checkpoint payload: trailing bytes")
-    if linear:
-        return LinearModel(ws[0], max_col_sum=meta["max_col_sum"],
-                           max_spectral=meta["max_spectral"])
-    return MlpModel(ws, meta["spectral_caps"], meta["activations"])
+        # the shapes must account for the whole payload before any weight
+        # is read; the model constructors then check caps and activations
+        need = 8 * sum(r * c for r, c in shapes)
+        have = os.fstat(f.fileno()).st_size - 16
+        if have != need:
+            raise FormatError(f"checkpoint payload: shapes claim {need} bytes, "
+                              f"blob holds {have} (" + ("truncated weight data"
+                              if have < need else "trailing bytes") + ")")
+        ws = [np.frombuffer(f.read(8 * r * c), dtype="<f8").reshape(r, c).copy()
+              for r, c in shapes]
+    try:
+        if linear:
+            return LinearModel(ws[0], max_col_sum=meta["max_col_sum"],
+                               max_spectral=meta["max_spectral"])
+        return MlpModel(ws, meta["spectral_caps"], meta["activations"])
+    except ConfigError as e:
+        raise bad(str(e)) from None

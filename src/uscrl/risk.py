@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .dataset import GaussianSpec, LabeledDataset
 from .errors import ConfigError, PreconditionError, SizeError
-from .loss import LossSpec, loss_value, scores_from_reps
-from .tuples import (DEFAULT_CAP, class_tuple_count, draw_ksubsets,
-                     draw_ordered_pairs, TupleSet, REGIME_SUB)
+from .loss import LossSpec, _scores, loss_value, scores_from_reps
+from .tuples import (DEFAULT_CAP, REGIME_SUB, TupleSet, block_tuples,
+                     class_tuple_chunks, class_tuple_count, draw_ksubsets,
+                     draw_ordered_pairs)
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ def _class_split(ds: LabeledDataset, c: int):
 def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
     """(anchors, positives, negatives) index chunks over one class's terms.
 
-    Exact U: ordered pairs in lexicographic order times every negative
-    k-subset, a bounded number of pairs per chunk. Exact V: ranks unpacked
-    into (anchor, positive, k negative digits). Monte Carlo U: num_draws
-    ordered pairs and k-subsets from rng, _CHUNK per chunk. Monte Carlo V:
-    all num_draws index tuples from rng in one draw.
+    Exact U: tuples.class_tuple_chunks, _CHUNK // C(N_c-, k) pairs (at
+    least one) per chunk. Exact V: ranks unpacked into (anchor, positive,
+    k negative digits). Monte Carlo U: num_draws ordered pairs and
+    k-subsets from rng, _CHUNK per chunk. Monte Carlo V: all num_draws
+    index tuples from rng in one draw.
     """
     n_pos, n_neg = len(pos_idx), len(neg_idx)
     if isinstance(mode, MonteCarlo):
@@ -150,15 +150,8 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
                 rem, digits[:, pos] = divmod(rem, n_neg)
             yield pos_idx[j1], pos_idx[j2], neg_idx[digits]
         return
-    subs = neg_idx[np.array(list(combinations(range(n_neg), k)), dtype=np.int64)]
-    n_subs = subs.shape[0]
-    pair_rows = max(1, _CHUNK // n_subs)
-    pa_all, pb_all = np.nonzero(~np.eye(n_pos, dtype=bool))
-    for lo in range(0, pa_all.shape[0], pair_rows):
-        hi = min(pa_all.shape[0], lo + pair_rows)
-        yield (pos_idx[np.repeat(pa_all[lo:hi], n_subs)],
-               pos_idx[np.repeat(pb_all[lo:hi], n_subs)],
-               np.tile(subs, (hi - lo, 1)))
+    yield from class_tuple_chunks(pos_idx, neg_idx, k,
+                                  max(1, _CHUNK // math.comb(n_neg, k)))
 
 
 def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
@@ -267,23 +260,11 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     """
 
     pos_idx, neg_idx = _class_split(ds, c)
-    n_pos, n_neg = len(pos_idx), len(neg_idx)
-    n_c = min(n_pos // 2, n_neg // k)
-    if n_c == 0:
+    if min(len(pos_idx) // 2, len(neg_idx) // k) == 0:
         return RiskEstimate(0.0, "ustat_decoupled", 0)
-    perm_pos = np.asarray(perm_pos, dtype=np.int64)
-    perm_neg = np.asarray(perm_neg, dtype=np.int64)
-    if sorted(perm_pos.tolist()) != list(range(n_pos)):
-        raise ConfigError(f"perm_pos is not a permutation of {n_pos} items")
-    if sorted(perm_neg.tolist()) != list(range(n_neg)):
-        raise ConfigError(f"perm_neg is not a permutation of {n_neg} items")
-    pp = pos_idx[perm_pos]
-    nn = neg_idx[perm_neg]
-    anchors = pp[0:2 * n_c:2]
-    positives = pp[1:2 * n_c:2]
-    negatives = np.sort(nn[:n_c * k].reshape(n_c, k), axis=1)
     reps = model.forward(ds.x)
-    s, _, n = _chunked_loss_stats(reps, anchors, positives, negatives, spec)
+    s, _, n = _chunked_loss_stats(
+        reps, *block_tuples(pos_idx, neg_idx, k, perm_pos, perm_neg), spec)
     return RiskEstimate(s / n, "ustat_decoupled", n)
 
 
@@ -323,9 +304,8 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
         xn = gspec.centers[negc] + gspec.sigma * rng.standard_normal((m, k, dim))
         reps = model.forward(np.concatenate(
             [xa, xp, xn.reshape(m * k, dim)], axis=0))
-        ra, rp = reps[:m], reps[m:2 * m]
-        rn = reps[2 * m:].reshape(m, k, -1)
-        v = np.einsum("bd,bkd->bk", ra, rp[:, None, :] - rn)
+        v = _scores(reps[:m], reps[m:2 * m],
+                    reps[2 * m:].reshape(m, k, -1))[1]
         lv = loss_value(spec, v)
         s += float(lv.sum())
         sq += float((lv * lv).sum())

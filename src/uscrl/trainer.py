@@ -28,9 +28,10 @@ from .model import (LinearModel, MlpModel, fit_probe, make_linear, make_mlp,
                     project, tuple_batch_backward)
 from .risk import MonteCarlo, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
-                     TupleSet, count_all_tuples, disjoint_tuples,
-                     enumerate_all_tuples, greedy_iid_tuples,
-                     subsample_tuples)
+                     REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
+                     enumerate_all_tuples, regime_tuples, subsample_tuples)
+
+REF_EPOCH_MULT = 3  # epoch multiplier of the complexity reference model
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.family not in ("linear", "mlp"):
             raise ConfigError(f"unknown model family {self.family!r}")
-        if self.regime not in (REGIME_IID, REGIME_SUB, REGIME_ALL):
+        if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -108,15 +109,11 @@ def _build_model(cfg: TrainConfig, in_dim: int):
 
 
 def _draw_tuples(ds: LabeledDataset, cfg: TrainConfig, epoch: int) -> TupleSet:
-    seed = _child_seed(cfg.seed, 2, epoch)
-    if cfg.regime == REGIME_SUB:
-        return subsample_tuples(ds, cfg.k, cfg.m_tuples, seed=seed)
-    if cfg.regime == REGIME_IID:
-        ts = greedy_iid_tuples(ds, cfg.k, seed=seed)
-        if ts.m_count == 0:
-            raise PreconditionError("pool admits no disjoint tuple")
-        return ts
-    return enumerate_all_tuples(ds, cfg.k, cap=cfg.cap)
+    ts = regime_tuples(ds, cfg.k, cfg.regime, _child_seed(cfg.seed, 2, epoch),
+                       m_tuples=cfg.m_tuples, cap=cfg.cap)
+    if cfg.regime == REGIME_IID and ts.m_count == 0:
+        raise PreconditionError("pool admits no disjoint tuple")
+    return ts
 
 
 def _evaluate(model, cfg: TrainConfig, spec: LossSpec,
@@ -302,18 +299,17 @@ def _regime_row(regime: str, m_count: int, seed, n_disjoint: int, k: int,
 def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
                              lo: int, hi: int, seeds, cfg: TrainConfig,
                              search_tol: int = 100, ref_mult: int = 4,
-                             m_cap: int = 200000,
-                             ref_epoch_mult: int = 3) -> dict:
+                             m_cap: int = 200000) -> dict:
     """Binary search for the pool size reaching a target excess risk.
 
     The reference risk comes from one model per configuration trained on
-    a pool of ref_mult * hi samples with tripled epochs. A probe at pool
-    size N trains on min(N^2, m_cap) sub-sampled tuples; its gap is the
-    population risk minus the reference risk. Per seed, the search keeps
-    gap(lo) > eps and gap(hi) <= eps and halves the bracket until its
-    width is at most search_tol, returning the smallest tested N whose
-    gap made the target. If even the full range fails, the seed reports
-    not reached with the gap at hi.
+    a pool of ref_mult * hi samples for REF_EPOCH_MULT times the epochs.
+    A probe at pool size N trains on min(N^2, m_cap) sub-sampled tuples;
+    its gap is the population risk minus the reference risk. Per seed, the
+    search keeps gap(lo) > eps and gap(hi) <= eps and halves the bracket
+    until its width is at most search_tol, returning the smallest tested N
+    whose gap made the target. If even the full range fails, the seed
+    reports not reached with the gap at hi.
     """
 
     if eps <= 0:
@@ -325,7 +321,7 @@ def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
     n_ref = ref_mult * hi
     ref_cfg = replace(
         cfg, k=k, regime=REGIME_SUB, m_tuples=min(n_ref * n_ref, m_cap),
-        epochs=cfg.epochs * ref_epoch_mult, seed=_child_seed(cfg.seed, 90))
+        epochs=cfg.epochs * REF_EPOCH_MULT, seed=_child_seed(cfg.seed, 90))
     ds_ref = generate_gaussian(gspec, n_ref, seed=_child_seed(cfg.seed, 91))
     ref_report = train(ds_ref, ref_cfg)
     ref_risk = population_risk_mc(

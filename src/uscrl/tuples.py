@@ -86,12 +86,6 @@ class TupleSet:
                      tuple(int(v) for v in self.negatives[i]),
                      int(self.class_ids[i]))
 
-    def select(self, idx) -> "TupleSet":
-        idx = np.asarray(idx)
-        return TupleSet(self.regime, self.k, self.anchors[idx],
-                        self.positives[idx], self.negatives[idx],
-                        self.class_ids[idx])
-
     def validate(self, ds: LabeledDataset) -> None:
         """Check every tuple invariant against the pool; raises on failure."""
         a, p, neg, cid = self.anchors, self.positives, self.negatives, self.class_ids
@@ -179,17 +173,37 @@ def tuple_masses(ds: LabeledDataset, k: int, class_ids) -> np.ndarray:
     return table[class_ids]
 
 
-def greedy_iid_tuples(ds: LabeledDataset, k: int,
-                      perms: dict | None = None,
-                      seed: int | None = None) -> TupleSet:
-    """Disjoint tuples from per-class permutation passes.
+def _permutation(p, n: int, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=np.int64)
+    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+        raise ConfigError(f"{name} is not a permutation of {n} items")
+    return p
 
-    Each class contributes N_c = min(floor(N_c+/2), floor(N_c-/k)) tuples:
-    consecutive permuted in-class samples become (anchor, positive) pairs
-    and consecutive permuted out-of-class samples fill the negative blocks.
-    ``perms`` maps class id to a (pi_pos, pi_neg) pair of position
-    permutations; classes not listed use the identity. With ``perms`` None
-    and a seed given, uniform permutations are drawn per class.
+
+def block_tuples(pos_idx: np.ndarray, neg_idx: np.ndarray, k: int, pi,
+                 pibar):
+    """The N_c disjoint block tuples of one class under a permutation pair.
+
+    N_c = min(floor(N_c+/2), floor(N_c-/k)). Consecutive in-class samples
+    in pi order become (anchor, positive) pairs and consecutive
+    out-of-class samples in pi_bar order fill the negative blocks, each
+    sorted. Returns (anchors, positives, negatives).
+    """
+
+    pi = _permutation(pi, len(pos_idx), "pi")
+    pibar = _permutation(pibar, len(neg_idx), "pi_bar")
+    n_c = min(len(pos_idx) // 2, len(neg_idx) // k)
+    pos, neg = pos_idx[pi], neg_idx[pibar]
+    return (pos[0:2 * n_c:2], pos[1:2 * n_c:2],
+            np.sort(neg[:n_c * k].reshape(n_c, k), axis=1))
+
+
+def greedy_iid_tuples(ds: LabeledDataset, k: int,
+                      seed: int | None = None) -> TupleSet:
+    """Every class's block tuples, N_c per class.
+
+    With a seed the permutation pair of each feasible class is drawn
+    uniformly (in-class first); without one both are the identity.
     """
 
     if k < 1:
@@ -197,32 +211,20 @@ def greedy_iid_tuples(ds: LabeledDataset, k: int,
     rng = np.random.default_rng(seed) if seed is not None else None
     anchors, positives, negs, cids = [], [], [], []
     for c in range(ds.num_classes):
-        pos_idx = ds.class_indices(c)
-        neg_idx = ds.out_indices(c)
+        pos_idx, neg_idx = ds.class_indices(c), ds.out_indices(c)
         n_pos, n_neg = len(pos_idx), len(neg_idx)
-        n_c = min(n_pos // 2, n_neg // k)
-        if n_c == 0:
+        if min(n_pos // 2, n_neg // k) == 0:
             continue
-        if perms is not None and c in perms:
-            pi, pibar = perms[c]
-            pi = np.asarray(pi, dtype=np.int64)
-            pibar = np.asarray(pibar, dtype=np.int64)
-            if sorted(pi.tolist()) != list(range(n_pos)):
-                raise ConfigError(f"class {c}: pi is not a permutation of {n_pos} items")
-            if sorted(pibar.tolist()) != list(range(n_neg)):
-                raise ConfigError(f"class {c}: pi_bar is not a permutation of {n_neg} items")
-        elif perms is None and rng is not None:
+        if rng is None:
+            pi, pibar = np.arange(n_pos), np.arange(n_neg)
+        else:
             pi = rng.permutation(n_pos)
             pibar = rng.permutation(n_neg)
-        else:
-            pi = np.arange(n_pos)
-            pibar = np.arange(n_neg)
-        pos_perm = pos_idx[pi]
-        neg_perm = neg_idx[pibar]
-        anchors.append(pos_perm[0:2 * n_c:2])
-        positives.append(pos_perm[1:2 * n_c:2])
-        negs.append(np.sort(neg_perm[:n_c * k].reshape(n_c, k), axis=1))
-        cids.append(np.full(n_c, c, dtype=np.int64))
+        a, p, ng = block_tuples(pos_idx, neg_idx, k, pi, pibar)
+        anchors.append(a)
+        positives.append(p)
+        negs.append(ng)
+        cids.append(np.full(a.shape[0], c, dtype=np.int64))
     if not anchors:
         return _empty_set(REGIME_IID, k)
     return TupleSet(REGIME_IID, k,
@@ -364,40 +366,25 @@ def subsample_tuples(ds: LabeledDataset, k: int, m: int, seed: int) -> TupleSet:
     return TupleSet(REGIME_SUB, k, anchors, positives, negatives, class_ids)
 
 
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (i, j), i != j, in lexicographic order."""
-    grid = np.tile(np.arange(n, dtype=np.int64), (n, 1))
-    mask = ~np.eye(n, dtype=bool)
-    second = grid[mask].reshape(n, n - 1)
-    first = np.repeat(np.arange(n, dtype=np.int64), n - 1)
-    return first, second.ravel()
+def class_tuple_chunks(pos_idx: np.ndarray, neg_idx: np.ndarray, k: int,
+                       pairs_per_chunk: int):
+    """T_c in lexicographic order, as (anchors, positives, negatives) chunks.
 
-
-def enumerate_class_tuples(ds: LabeledDataset, c: int, k: int,
-                           cap: int = DEFAULT_CAP):
-    """Full T_c as (anchors, positives, negatives) arrays, lexicographic.
-
-    Order: ordered anchor/positive position pairs vary slowest, negative
-    k-subsets (lexicographic over positions) fastest. Raises SizeError
-    with the exact count when |T_c| > cap.
+    Ordered anchor/positive position pairs vary slowest, negative k-subsets
+    (lexicographic over positions) fastest; a chunk holds pairs_per_chunk
+    pairs times every subset. The subsets are mapped to pool indices once
+    and tiled per chunk. The class must admit a tuple.
     """
 
-    pos_idx = ds.class_indices(c)
-    neg_idx = ds.out_indices(c)
-    n_pos, n_neg = len(pos_idx), len(neg_idx)
-    cnt = class_tuple_count(n_pos, n_neg, k)
-    if cnt == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros((0, k), dtype=np.int64)
-    if cnt > cap:
-        raise SizeError(cnt, cap, f"class {c} tuple enumeration")
-    pa, pb = _ordered_pairs(n_pos)
-    subs = np.array(list(combinations(range(n_neg), k)), dtype=np.int64)
-    n_pairs, n_subs = pa.shape[0], subs.shape[0]
-    anchors = pos_idx[np.repeat(pa, n_subs)]
-    positives = pos_idx[np.repeat(pb, n_subs)]
-    negatives = neg_idx[np.tile(subs, (n_pairs, 1))]
-    return anchors, positives, negatives
+    subs = neg_idx[np.array(list(combinations(range(len(neg_idx)), k)),
+                            dtype=np.int64)]
+    n_subs = subs.shape[0]
+    pa, pb = np.nonzero(~np.eye(len(pos_idx), dtype=bool))
+    for lo in range(0, pa.shape[0], pairs_per_chunk):
+        hi = min(pa.shape[0], lo + pairs_per_chunk)
+        yield (pos_idx[np.repeat(pa[lo:hi], n_subs)],
+               pos_idx[np.repeat(pb[lo:hi], n_subs)],
+               np.tile(subs, (hi - lo, 1)))
 
 
 def enumerate_all_tuples(ds: LabeledDataset, k: int,
@@ -412,7 +399,10 @@ def enumerate_all_tuples(ds: LabeledDataset, k: int,
     for c in range(ds.num_classes):
         if per_class[c] == 0:
             continue
-        a, p, ng = enumerate_class_tuples(ds, c, k, cap=cap)
+        pos_idx = ds.class_indices(c)
+        # one chunk: more pairs per chunk than the class has
+        (a, p, ng), = class_tuple_chunks(pos_idx, ds.out_indices(c), k,
+                                         len(pos_idx) ** 2)
         anchors.append(a)
         positives.append(p)
         negs.append(ng)
@@ -420,3 +410,17 @@ def enumerate_all_tuples(ds: LabeledDataset, k: int,
     return TupleSet(REGIME_ALL, k,
                     np.concatenate(anchors), np.concatenate(positives),
                     np.concatenate(negs), np.concatenate(cids))
+
+
+def regime_tuples(ds: LabeledDataset, k: int, regime: str, seed: int,
+                  m_tuples: int | None = None,
+                  cap: int = DEFAULT_CAP) -> TupleSet:
+    """The tuple set of one regime: m_tuples sub-sampled draws, the seeded
+    greedy disjoint passes, or the full enumeration under cap."""
+    if regime == REGIME_SUB:
+        return subsample_tuples(ds, k, m_tuples, seed=seed)
+    if regime == REGIME_IID:
+        return greedy_iid_tuples(ds, k, seed=seed)
+    if regime == REGIME_ALL:
+        return enumerate_all_tuples(ds, k, cap=cap)
+    raise ConfigError(f"unknown regime {regime!r}")

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from uscrl.bounds import (BoundInputs, THEOREM_IDS, chernoff_lambda,
-                          dudley_bound, effective_n,
-                          empirical_rademacher_probe, evaluate_theorem,
-                          linear_class_K, linear_phi, nn_class_K,
+                          effective_n, evaluate_theorem, linear_phi,
                           nn_log_factor)
-from uscrl.errors import ConfigError, NumericError, PreconditionError
-from uscrl.loss import LossSpec, default_clip, tuple_losses
-from uscrl.tuples import subsample_tuples
-
-from conftest import make_pool, rand_linear
+from uscrl.errors import ConfigError, PreconditionError
 
 # reference values computed independently with 50-digit arithmetic
 CHERNOFF_M4 = 0.38702275602049496   # sqrt(3 ln(4*10/0.1) / 120)
@@ -20,9 +14,7 @@ CHERNOFF_M2 = 0.3639477080072093    # sqrt(3 ln(2*10/0.1) / 120)
 BASIC_CONF = 11.376031076243203     # 44 * sqrt(ln(8*10/0.1) / 100)
 SUB_MC = 0.44406215619023953        # 6 * sqrt(ln(8/0.1) / 800)
 LINEAR_PHI = 210.1886903978695      # n=1000 k=2 d=16 M=4 eta=1 s=2 a=8 b=1.5
-LINEAR_K = 4109207.458048705
 NN_LOGF = 11.954536049714745        # n=500 eta=1 b=1.2 caps=(2,1.5) xis=(1,1)
-NN_K = 1818.02618665962             # M=4, 30 neurons, same log factor
 BASIC_TOTAL = 50.067915053866756    # n=1000 |C|=10 k=3 delta=0.05 M=4 K_c=2
 
 
@@ -209,10 +201,6 @@ class TestLinearFamily:
         assert linear_phi(1000, 2, 16, 4.0, 1.0, 2.0, 8.0, 1.5) == \
             pytest.approx(LINEAR_PHI, rel=1e-12)
 
-    def test_class_k_reference(self):
-        assert linear_class_K(1.0, 2.0, 8.0, 1.5, 1000, 2, 16, 4.0) == \
-            pytest.approx(LINEAR_K, rel=1e-12)
-
     def test_basic_linear_terms(self):
         inputs = BoundInputs(n=1000, rho=uniform_rho(10), k=2, delta=0.1,
                              loss_bound=4.0, family_params=self.PARAMS)
@@ -261,10 +249,6 @@ class TestNNFamily:
     def test_log_factor_reference(self):
         assert nn_log_factor(500, 1.0, 1.2, (2.0, 1.5), (1.0, 1.0)) == \
             pytest.approx(NN_LOGF, rel=1e-12)
-
-    def test_class_k_reference(self):
-        assert nn_class_K(4.0, 30, 1.0, 500, 1.2, (2.0, 1.5), (1.0, 1.0)) == \
-            pytest.approx(NN_K, rel=1e-12)
 
     def test_basic_nn_terms(self):
         inputs = BoundInputs(n=500, rho=uniform_rho(5), k=2, delta=0.1,
@@ -377,111 +361,3 @@ class TestMonotonicity:
         totals = [run(theorem, make_inputs(theorem, m_tuples=m)).total
                   for m in (500, 1000, 4000, 16000)]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
-
-
-class TestDudley:
-    def test_zero_entropy_leaves_only_alpha(self):
-        got = dudley_bound(lambda e: 0.0, 100, 2.0)
-        assert got == pytest.approx(4.0 * 2.0 * 1e-6, rel=1e-9)
-
-    def test_inverse_square_entropy_closed_form(self):
-        # log_cover = C / eps^2 integrates to sqrt(C/n) ln(B/alpha)
-        c_ent, n, b = 2.0, 100, 1.0
-        got = dudley_bound(lambda e: c_ent / e**2, n, b)
-        grid = np.geomspace(b * 1e-6, b, 32)
-        want = min(4.0 * a + 12.0 * math.sqrt(c_ent / n) * math.log(b / a)
-                   for a in grid)
-        assert got == pytest.approx(want, rel=1e-5)
-
-    def test_custom_grid_single_point(self):
-        c_ent, n, b = 1.0, 400, 2.0
-        alpha = 0.5
-        got = dudley_bound(lambda e: c_ent / e**2, n, b, alpha_grid=[alpha])
-        want = 4.0 * alpha + 12.0 * math.sqrt(c_ent / n) * math.log(b / alpha)
-        assert got == pytest.approx(want, rel=1e-6)
-
-    def test_constant_entropy_scales_inverse_sqrt_n(self):
-        f = lambda e: 9.0
-        alpha = 1e-9
-        lo = dudley_bound(f, 100, 1.0, alpha_grid=[alpha])
-        hi = dudley_bound(f, 400, 1.0, alpha_grid=[alpha])
-        # integral part halves when n quadruples
-        assert (lo - 4 * alpha) / (hi - 4 * alpha) == pytest.approx(
-            2.0, rel=1e-9)
-        assert lo == pytest.approx(4 * alpha + 12.0 * math.sqrt(9.0 / 100)
-                                   * (1.0 - alpha), rel=1e-9)
-
-    def test_more_points_never_hurt(self):
-        f = lambda e: 4.0 / e
-        sparse = dudley_bound(f, 50, 1.0, alpha_grid=[0.01, 0.1, 1.0])
-        dense = dudley_bound(f, 50, 1.0,
-                             alpha_grid=np.geomspace(1e-4, 1.0, 64))
-        assert dense <= sparse + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            dudley_bound(lambda e: 1.0, 0, 1.0)
-        with pytest.raises(ConfigError):
-            dudley_bound(lambda e: 1.0, 10, 0.0)
-        with pytest.raises(ConfigError):
-            dudley_bound(lambda e: 1.0, 10, 1.0, alpha_grid=[0.5, 2.0])
-        with pytest.raises(ConfigError):
-            dudley_bound(lambda e: 1.0, 10, 1.0, alpha_grid=[0.0, 0.5])
-        with pytest.raises(NumericError):
-            dudley_bound(lambda e: -1.0, 10, 1.0)
-
-
-class TestRademacherProbe:
-    def test_single_tuple_equals_its_loss(self):
-        # with one tuple the correlation is +-loss, so the probe returns
-        # the loss exactly
-        ds = make_pool([4, 4], dim=3, seed=93)
-        model = rand_linear(3, 2, seed=94)
-        ts = subsample_tuples(ds, 2, 1, seed=95)
-        spec = LossSpec(clip=default_clip(2))
-        want = float(tuple_losses(model, ds, ts.anchors, ts.positives,
-                                  ts.negatives, spec)[0])
-        got = empirical_rademacher_probe([model], ds, ts, spec, num_sigma=16,
-                                         seed=0)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_monotone_in_candidates(self):
-        ds = make_pool([5, 5], dim=4, seed=96)
-        ts = subsample_tuples(ds, 1, 64, seed=97)
-        spec = LossSpec(clip=default_clip(1))
-        models = [rand_linear(4, 3, seed=s) for s in (1, 2, 3)]
-        one = empirical_rademacher_probe(models[:1], ds, ts, spec, seed=5)
-        three = empirical_rademacher_probe(models, ds, ts, spec, seed=5)
-        assert three >= one - 1e-15
-
-    def test_bounded_by_loss_bound(self):
-        ds = make_pool([5, 5], dim=4, seed=98)
-        ts = subsample_tuples(ds, 1, 32, seed=99)
-        spec = LossSpec(clip=1.5)
-        models = [rand_linear(4, 3, seed=s) for s in range(4)]
-        got = empirical_rademacher_probe(models, ds, ts, spec, seed=6)
-        assert 0.0 <= got <= 1.5
-
-    def test_seeded(self):
-        ds = make_pool([5, 5], dim=4, seed=100)
-        ts = subsample_tuples(ds, 1, 32, seed=101)
-        spec = LossSpec(clip=default_clip(1))
-        m = [rand_linear(4, 3, seed=0)]
-        a = empirical_rademacher_probe(m, ds, ts, spec, seed=7)
-        b = empirical_rademacher_probe(m, ds, ts, spec, seed=7)
-        c = empirical_rademacher_probe(m, ds, ts, spec, seed=8)
-        assert a == b
-        assert a != c
-
-    def test_validation(self):
-        ds = make_pool([4, 4], dim=3, seed=102)
-        ts = subsample_tuples(ds, 1, 8, seed=103)
-        spec = LossSpec(clip=default_clip(1))
-        model = rand_linear(3, 2, seed=104)
-        with pytest.raises(ConfigError):
-            empirical_rademacher_probe([model], ds, ts, spec, num_sigma=0)
-        with pytest.raises(ConfigError):
-            empirical_rademacher_probe([], ds, ts, spec)
-        empty = subsample_tuples(ds, 1, 0, seed=105)
-        with pytest.raises(PreconditionError):
-            empirical_rademacher_probe([model], ds, empty, spec)

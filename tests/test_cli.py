@@ -545,6 +545,58 @@ class TestFamilyParams:
         assert "Traceback" not in err.getvalue()
 
 
+def _huge_int_config(tmp_path):
+    """A sample config whose k has 5,001 digits, over the int-parse limit."""
+    cfg = json.dumps({"dataset": TOY_DS, "regime": "subsampled",
+                      "m_tuples": 5, "k": 0})
+    return "sample", cfg.replace('"k": 0', '"k": ' + "1" * 5001)
+
+
+def _checkpoint_meta_config(**updates):
+    def build(tmp_path):
+        prefix = str(tmp_path / "ck")
+        save_checkpoint(LinearModel(0.4 * np.eye(3, 4), max_col_sum=8.0,
+                                    max_spectral=2.0), prefix)
+        meta = json.loads(Path(prefix + ".json").read_text())
+        Path(prefix + ".json").write_text(json.dumps({**meta, **updates}))
+        return "estimate", json.dumps({
+            "dataset": {"type": "gaussian", "num_classes": 3, "dim": 4,
+                        "n": 24},
+            "k": 1, "estimator": "ustat_exact", "checkpoint": prefix})
+    return build
+
+
+def _overflowing_idx_config(tmp_path):
+    """An images header claiming 0xFFFFFFFF images of 0xFFFFFFFF^2 pixels."""
+    img, lab = write_idx_pair(tmp_path, labels=[0, 1, 0, 1])
+    Path(img).write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3))
+    return "sample", json.dumps({
+        "dataset": {"type": "idx", "images": img, "labels": lab},
+        "k": 1, "regime": "all_tuples"})
+
+
+class TestMalformedInputExitCodes:
+    @pytest.mark.parametrize("build", [
+        _huge_int_config,
+        _checkpoint_meta_config(shapes=[3]),
+        _checkpoint_meta_config(max_col_sum="x"),
+        _checkpoint_meta_config(max_spectral=None),
+        _checkpoint_meta_config(shapes=[[3, -4]]),
+        _overflowing_idx_config,
+    ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
+            "checkpoint-cap-string", "checkpoint-cap-null",
+            "checkpoint-negative-shape", "idx-header-overflow"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, build):
+        sub, text = build(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        code = main([sub, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestExperiments:
     TRAIN = {"family": "linear", "out_dim": 3, "epochs": 1, "batch_size": 16,
              "lr": 0.1, "eval_draws": 300}

@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from uscrl.dataset import (ClassStats, GaussianSpec, LabeledDataset,
-                           class_stats, generate_gaussian, load_idx,
-                           train_holdout_split)
+from uscrl.dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
+                           load_idx, train_holdout_split)
 from uscrl.errors import ConfigError, FormatError
 
 from conftest import make_pool
@@ -76,22 +75,6 @@ class TestLabeledDataset:
             LabeledDataset(x=np.zeros((2, 2)), y=np.array([0, -1]), num_classes=2)
         with pytest.raises(ConfigError):
             LabeledDataset(x=np.zeros(4), y=np.array([0]), num_classes=1)
-
-
-class TestClassStats:
-    def test_hand_counts(self):
-        ds = make_pool([3, 3, 2])
-        stats = class_stats(ds, k=1)
-        assert stats[0] == ClassStats(0, 3, 5, min(1, 5), 3 / 8)
-        assert stats[2] == ClassStats(2, 2, 6, min(1, 6), 2 / 8)
-        stats2 = class_stats(ds, k=4)
-        assert stats2[0].n_disjoint == 1
-        assert stats2[2].n_disjoint == 1
-
-    def test_rejects_bad_k(self):
-        ds = make_pool([2, 2])
-        with pytest.raises(ConfigError):
-            class_stats(ds, k=0)
 
 
 class TestGenerateGaussian:

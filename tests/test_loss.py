@@ -41,13 +41,6 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             LossSpec(kind="hinge", clip=math.inf)
 
-    def test_eta_and_bound(self):
-        assert LossSpec().eta == 1.0
-        assert LossSpec(kind="hinge", clip=3.0).eta == 1.0
-        assert LossSpec(clip=2.5).bound == 2.5
-        assert LossSpec().bound == math.inf
-        assert LossSpec(kind="hinge", clip=7.0, margin=2.0).bound == 7.0
-
 
 class TestLogistic:
     def test_zero_scores(self):

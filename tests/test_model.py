@@ -11,10 +11,9 @@ from uscrl.errors import ConfigError, FormatError, NumericError
 from uscrl.loss import LossSpec, loss_value, tuple_losses
 from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, LinearProbe,
                          MlpModel, fit_probe, load_checkpoint, make_linear,
-                         make_mlp, param_count, project, row_norm_sum,
-                         save_checkpoint, spectral_norm,
-                         tuple_batch_backward)
-from uscrl.tuples import enumerate_all_tuples, subsample_tuples
+                         make_mlp, project, row_norm_sum, save_checkpoint,
+                         spectral_norm, tuple_batch_backward)
+from uscrl.tuples import TupleSet, enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear, rand_mlp
 from naive_ref import naive_batch_grad
@@ -79,7 +78,6 @@ class TestForward:
         x = np.array([[2.0, 3.0]])
         # layer 1: [2, -3] -> relu -> [2, 0]; layer 2: 2
         np.testing.assert_allclose(model.forward(x), [[2.0]])
-        assert model.depth == 2
         assert model.out_dim == 1
 
     def test_mlp_validation(self):
@@ -97,10 +95,6 @@ class TestForward:
     def test_linear_validation(self):
         with pytest.raises(ConfigError):
             LinearModel(np.zeros((2, 2)), max_col_sum=0.0, max_spectral=1.0)
-
-    def test_param_count(self):
-        model = rand_mlp([4, 6, 3], seed=0)
-        assert param_count(model) == 4 * 6 + 6 * 3
 
 
 class TestInitAndProjection:
@@ -338,7 +332,8 @@ class TestBackward:
             # the whole enumeration twice: every row, every tuple repeated
             ds = make_pool([4, 3, 3], dim=5, seed=40)
             ts = enumerate_all_tuples(ds, k)
-            ts = ts.select(np.concatenate([np.arange(ts.m_count)] * 2))
+            cols = (ts.anchors, ts.positives, ts.negatives, ts.class_ids)
+            ts = TupleSet(ts.regime, k, *(np.concatenate([c] * 2) for c in cols))
         else:
             ds = make_pool([700, 700, 600], dim=5, seed=41)
             ts = subsample_tuples(ds, k, 24, seed=42)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from uscrl import tuples as tuples_mod
 from uscrl.errors import ConfigError, PreconditionError, SizeError
-from uscrl.tuples import (REGIME_IID, REGIME_SUB, Tuple, TupleSet,
-                          class_tuple_count, count_all_tuples,
-                          disjoint_tuples, draw_ksubsets, draw_ordered_pairs,
-                          enumerate_all_tuples, enumerate_class_tuples,
-                          greedy_iid_tuples, subsample_tuples, tuple_mass,
-                          tuple_masses)
+from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, Tuple, TupleSet,
+                          block_tuples, class_tuple_chunks, class_tuple_count,
+                          count_all_tuples, disjoint_tuples, draw_ksubsets,
+                          draw_ordered_pairs, enumerate_all_tuples,
+                          greedy_iid_tuples, regime_tuples, subsample_tuples,
+                          tuple_mass, tuple_masses)
 
 from conftest import make_pool
 from naive_ref import naive_enumeration
@@ -72,12 +73,6 @@ class TestTupleSet:
         assert list(ts)[0] == first
         assert len(ts) == ts.m_count
 
-    def test_select(self, toy_pool):
-        ts = enumerate_all_tuples(toy_pool, k=1)
-        sub = ts.select([0, 5, 9])
-        assert sub.m_count == 3
-        assert sub[1] == ts[5]
-
     def test_shape_validation(self):
         z = np.zeros(2, dtype=np.int64)
         with pytest.raises(ConfigError):
@@ -123,21 +118,6 @@ class TestGreedy:
         assert [tuple(t) for t in ts] == expected
         ts.validate(ds)
 
-    def test_explicit_perms(self):
-        ds = make_pool([4, 3, 5], seed=0)
-        perms = {0: ([3, 2, 1, 0], [7, 6, 5, 4, 3, 2, 1, 0])}
-        ts = greedy_iid_tuples(ds, k=2, perms=perms)
-        # class 0 runs on reversed orders; classes 1, 2 fall back to identity
-        assert ts[0] == Tuple(3, 2, (10, 11), 0)
-        assert ts[1] == Tuple(1, 0, (8, 9), 0)
-        assert ts[2] == Tuple(4, 5, (0, 1), 1)
-        ts.validate(ds)
-
-    def test_rejects_non_permutation(self):
-        ds = make_pool([4, 4], seed=0)
-        with pytest.raises(ConfigError, match="not a permutation"):
-            greedy_iid_tuples(ds, k=1, perms={0: ([0, 0, 1, 2], [0, 1, 2, 3])})
-
     def test_seeded_draw_is_valid_and_disjoint_per_class(self):
         ds = make_pool([9, 7, 6], seed=1)
         ts = greedy_iid_tuples(ds, k=2, seed=42)
@@ -163,6 +143,55 @@ class TestGreedy:
         ds = make_pool([1, 5], seed=0)
         ts = greedy_iid_tuples(ds, k=1)
         assert np.all(ts.class_ids == 1)
+
+
+class TestBlockTuples:
+    def test_explicit_perms(self):
+        ds = make_pool([4, 3, 5], seed=0)
+        a, p, ng = block_tuples(ds.class_indices(0), ds.out_indices(0), 2,
+                                [3, 2, 1, 0], [7, 6, 5, 4, 3, 2, 1, 0])
+        # reversed orders: pairs (3, 2), (1, 0); blocks {11, 10}, {9, 8}
+        np.testing.assert_array_equal(a, [3, 1])
+        np.testing.assert_array_equal(p, [2, 0])
+        np.testing.assert_array_equal(ng, [[10, 11], [8, 9]])
+
+    def test_identity_perms_are_the_greedy_layout(self):
+        ds = make_pool([4, 3, 5], seed=0)
+        ts = greedy_iid_tuples(ds, k=2)
+        for c in range(3):
+            n_pos, n_neg = ds.class_sizes()[c], ds.n - ds.class_sizes()[c]
+            a, p, ng = block_tuples(ds.class_indices(c), ds.out_indices(c), 2,
+                                    np.arange(n_pos), np.arange(n_neg))
+            rows = ts.class_ids == c
+            np.testing.assert_array_equal(a, ts.anchors[rows])
+            np.testing.assert_array_equal(p, ts.positives[rows])
+            np.testing.assert_array_equal(ng, ts.negatives[rows])
+
+    def test_rejects_non_permutation(self):
+        ds = make_pool([4, 4], seed=0)
+        pos, neg = ds.class_indices(0), ds.out_indices(0)
+        with pytest.raises(ConfigError, match="not a permutation"):
+            block_tuples(pos, neg, 1, [0, 0, 1, 2], [0, 1, 2, 3])
+        with pytest.raises(ConfigError, match="not a permutation"):
+            block_tuples(pos, neg, 1, [0, 1, 2, 3], [0, 1, 2])
+
+
+class TestRegimeTuples:
+    def test_dispatches_each_regime(self):
+        ds = make_pool([5, 4, 3], seed=2)
+        pairs = [
+            (regime_tuples(ds, 2, REGIME_SUB, 7, m_tuples=30),
+             subsample_tuples(ds, 2, 30, seed=7)),
+            (regime_tuples(ds, 2, REGIME_IID, 7), greedy_iid_tuples(ds, 2, seed=7)),
+            (regime_tuples(ds, 2, REGIME_ALL, 7), enumerate_all_tuples(ds, 2)),
+        ]
+        for got, want in pairs:
+            assert got.regime == want.regime
+            assert got.to_jsonl() == want.to_jsonl()
+
+    def test_unknown_regime(self):
+        with pytest.raises(ConfigError, match="unknown regime"):
+            regime_tuples(make_pool([3, 3], seed=0), 1, "bogus", 0)
 
 
 class TestGloballyDisjoint:
@@ -337,10 +366,18 @@ class TestEnumeration:
                 pos = ds.class_indices(c).tolist()
                 neg = ds.out_indices(c).tolist()
                 want = naive_enumeration(pos, neg, k)
-                a, p, ng = enumerate_class_tuples(ds, c, k)
-                got = [(int(ai), int(pi), tuple(int(x) for x in row))
-                       for ai, pi, row in zip(a, p, ng)]
-                assert got == want
+                n_subs = math.comb(len(neg), k)
+                # 2 divides every class's pair count (12, 6, 2), 5 none
+                for per_chunk in (2, 5):
+                    chunks = list(class_tuple_chunks(
+                        ds.class_indices(c), ds.out_indices(c), k, per_chunk))
+                    sizes = [a.shape[0] for a, _, _ in chunks]
+                    assert all(s == per_chunk * n_subs for s in sizes[:-1])
+                    assert 0 < sizes[-1] <= per_chunk * n_subs
+                    got = [(int(ai), int(pi), tuple(int(x) for x in row))
+                           for a, p, ng in chunks
+                           for ai, pi, row in zip(a, p, ng)]
+                    assert got == want
 
     def test_all_tuples_class_major_and_valid(self, toy_pool):
         ts = enumerate_all_tuples(toy_pool, k=1)
