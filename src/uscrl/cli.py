@@ -428,7 +428,7 @@ def main(argv=None) -> int:
         with open(args.config) as f:
             try:
                 cfg = json.load(f)
-            except ValueError as e:  # also ints over the digit limit
+            except (ValueError, RecursionError) as e:  # long ints, deep nesting
                 raise ConfigError(f"config is not valid JSON: {e}") from e
         _validate_config(cfg, section)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)

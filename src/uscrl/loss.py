@@ -127,27 +127,8 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
                    np.take(reps, negatives, axis=0))[1]
 
 
-def _pool_rows(idx: np.ndarray, n: int):
-    """Sorted distinct rows of idx and each entry's position among them."""
-    # what a sort-based unique with an inverse returns, from two tables
-    # over the pool; the position table is written only at the marked
-    # rows, so a large pool costs two cheap O(n) passes and no cumsum
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    rows = np.flatnonzero(mask)
-    lookup = np.empty(n, dtype=np.int64)
-    lookup[rows] = np.arange(rows.size)
-    return rows, lookup[idx]
-
-
 def tuple_losses(model, ds, anchors, positives, negatives,
                  spec: LossSpec) -> np.ndarray:
     """Per-tuple clipped losses for index columns against a pool."""
-    negatives = np.asarray(negatives, dtype=np.int64)
-    m = negatives.shape[0]
-    rows, inverse = _pool_rows(np.concatenate(
-        [np.ravel(anchors), np.ravel(positives), negatives.ravel()]), ds.n)
-    reps = model.forward(np.take(ds.x, rows, axis=0))
-    v = scores_from_reps(reps, inverse[:m], inverse[m:2 * m],
-                         inverse[2 * m:].reshape(negatives.shape))
-    return loss_value(spec, v)
+    return loss_value(spec, scores_from_reps(model.forward(ds.x), anchors,
+                                             positives, negatives))

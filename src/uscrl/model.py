@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import atomic_write
-from .loss import LossSpec, _pool_rows, _scores, _value_and_grad
+from .loss import LossSpec, _scores, _value_and_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
@@ -42,6 +42,13 @@ PROBE_EPOCHS = 40
 PROBE_LR = 0.5
 PROBE_BATCH = 64
 PROBE_VAL_FRACTION = 0.2
+
+# tuple_batch_backward forwards the whole pool once a batch has this many
+# index entries per pool row; below it, only the rows the batch touches.
+# Rows the batch skips add zero rows to the backward's sum over rows, which
+# BLAS may block differently, so the whole-pool side can move a gradient's
+# last bits (seen for MLPs, and for linear maps on pools of 1,500+ rows).
+WHOLE_POOL_RATIO = 2
 
 
 def _check_caps(caps) -> None:
@@ -71,11 +78,6 @@ def spectral_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def row_norm_sum(a: np.ndarray) -> float:
-    """(2,1)-norm of A^T: sum of Euclidean norms of A's rows."""
-    return float(np.linalg.norm(a, axis=1).sum())
 
 
 @dataclass
@@ -188,7 +190,7 @@ def make_mlp(widths, spectral_caps, seed: int,
     return project(MlpModel(ws, list(spectral_caps), list(activations)))
 
 
-def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
+def _cap_spectral(w: np.ndarray, cap: float, fro=None) -> np.ndarray:
     """w scaled down to spectral norm cap; w itself when the cap is slack.
 
     Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2 is
@@ -197,7 +199,7 @@ def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
     the first test and skip the second, so they reach spectral_norm's check.
     """
 
-    fro = np.linalg.norm(w)
+    fro = np.linalg.norm(w) if fro is None else fro  # the caller's ||w||_F
     if fro <= cap:
         return w
     if math.isfinite(fro):
@@ -216,8 +218,13 @@ def project(model):
     """
 
     if isinstance(model, LinearModel):
-        a = _cap_spectral(model.a_mat, model.max_spectral)
-        cs = row_norm_sum(a)
+        # squared row norms, the reduction np.linalg.norm(a, axis=1) does,
+        # give both the Frobenius norm and ||A^T||_{2,1}
+        a, sq = model.a_mat, (model.a_mat * model.a_mat).sum(axis=1)
+        capped = _cap_spectral(a, model.max_spectral, math.sqrt(sq.sum()))
+        if capped is not a:
+            a, sq = capped, (capped * capped).sum(axis=1)
+        cs = float(np.sqrt(sq).sum())
         if cs > model.max_col_sum:
             a = a * (model.max_col_sum / cs)
         model.a_mat = a
@@ -252,15 +259,30 @@ def _backprop(model, inputs, preacts, grad_out):
     return grads
 
 
+def _pool_rows(x: np.ndarray, idx: np.ndarray):
+    """The rows of x that idx touches, in pool order, and each entry's
+    position among them."""
+    # what a sort-based unique with an inverse returns, from two tables
+    # over the pool; the position table is written only at the marked
+    # rows, so a large pool costs two cheap O(n) passes and no cumsum
+    mask = np.zeros(len(x), dtype=bool)
+    mask[idx] = True
+    rows = np.flatnonzero(mask)
+    lookup = np.empty(len(x), dtype=np.int64)
+    lookup[rows] = np.arange(rows.size)
+    return np.take(x, rows, axis=0), lookup[idx]
+
+
 def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
                          negatives, spec: LossSpec):
     """Mean clipped loss over a tuple batch and its exact weight gradients.
 
-    The batch's distinct pool rows (a mask, no sort) go through the network
-    once; np.take gathers their representations tuple-major for scores and
-    score gradients, one k-major pass gives losses and gradient, and one
-    np.bincount sums the blocks onto rows, anchor terms first, then
-    positive, then negative, before the single backward pass.
+    A batch of b*(k+2) >= WHOLE_POOL_RATIO * n index entries (ratio 2)
+    forwards the whole pool, indexed by its own columns; a smaller one
+    forwards its distinct rows (a mask, no sort). np.take gathers their
+    representations tuple-major, one k-major pass gives losses and
+    gradient, and one np.bincount sums the blocks onto rows in entry order
+    (anchor, positive, negative) before the single backward pass.
     """
 
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -270,10 +292,11 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
         raise ConfigError("negatives must be (batch, k)")
     b, k = negatives.shape
 
-    rows, inverse = _pool_rows(
-        np.concatenate([anchors, positives, negatives.ravel()]), ds.n)
-    reps, inputs, preacts = _forward_cached(model, np.take(ds.x, rows, axis=0))
-    d = reps.shape[1]
+    x, inverse = ds.x, np.concatenate([anchors, positives, negatives.ravel()])
+    if inverse.size < WHOLE_POOL_RATIO * ds.n:
+        x, inverse = _pool_rows(x, inverse)
+    reps, inputs, preacts = _forward_cached(model, x)
+    m, d = reps.shape
     r = np.take(reps, inverse, axis=0)
     ra = r[:b]
     diff, v = _scores(ra, r[b:2 * b], r[2 * b:].reshape(b, k, d))
@@ -282,11 +305,15 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
 
     blocks = np.empty_like(r)  # score gradient per gathered entry
     blocks[:b] = np.einsum("bk,bkd->bd", gv, diff)
-    blocks[b:2 * b] = gt.sum(axis=0)[:, None] * ra
-    blocks[2 * b:] = (-gv[..., None] * ra[:, None, :]).reshape(b * k, d)
-    bins = (inverse[:, None] * d + np.arange(d)).ravel()
-    grad_reps = np.bincount(bins, weights=blocks.ravel(),
-                            minlength=reps.size).reshape(reps.shape)
+    np.multiply(gt.sum(axis=0)[:, None], ra, out=blocks[b:2 * b])
+    neg = blocks[2 * b:].reshape(b, k, d)
+    np.negative(np.multiply(gv[:, :, None], ra[:, None, :], out=neg), out=neg)
+    # bin j*m + row holds feature j of a row, so each bin's terms arrive
+    # in entry order; the sums go back to row-major for backprop, since
+    # BLAS may round a transposed operand differently
+    bins = (np.arange(0, d * m, m)[:, None] + inverse).ravel()
+    grad_reps = np.ascontiguousarray(np.bincount(
+        bins, weights=blocks.T.ravel(), minlength=d * m).reshape(d, m).T)
 
     grads = _backprop(model, inputs, preacts, grad_reps)
     if not all(np.isfinite(g).all() for g in grads):
@@ -403,7 +430,7 @@ def load_checkpoint(path_prefix: str):
     with open(json_path) as f:
         try:
             meta = json.load(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise bad(f"not valid JSON ({e})") from None
     if not isinstance(meta, dict):
         raise bad("not a JSON object")

@@ -566,6 +566,20 @@ def _checkpoint_meta_config(**updates):
     return build
 
 
+DEEP = 100_000  # nesting levels, far past the JSON parser's stack
+
+
+def _deeply_nested_config(tmp_path):
+    return "sample", "[" * DEEP + "]" * DEEP
+
+
+def _deeply_nested_checkpoint_meta(tmp_path):
+    sub, cfg = _checkpoint_meta_config()(tmp_path)
+    Path(json.loads(cfg)["checkpoint"] + ".json").write_text(
+        '{"family": "linear", "shapes": ' + "[" * DEEP + "]" * DEEP + "}")
+    return sub, cfg
+
+
 def _overflowing_idx_config(tmp_path):
     """An images header claiming 0xFFFFFFFF images of 0xFFFFFFFF^2 pixels."""
     img, lab = write_idx_pair(tmp_path, labels=[0, 1, 0, 1])
@@ -583,9 +597,12 @@ class TestMalformedInputExitCodes:
         _checkpoint_meta_config(max_spectral=None),
         _checkpoint_meta_config(shapes=[[3, -4]]),
         _overflowing_idx_config,
+        _deeply_nested_config,
+        _deeply_nested_checkpoint_meta,
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
-            "checkpoint-negative-shape", "idx-header-overflow"])
+            "checkpoint-negative-shape", "idx-header-overflow",
+            "config-nested-too-deep", "checkpoint-meta-nested-too-deep"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"

@@ -11,7 +11,7 @@ from uscrl.errors import ConfigError, FormatError, NumericError
 from uscrl.loss import LossSpec, loss_value, tuple_losses
 from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, LinearProbe,
                          MlpModel, fit_probe, load_checkpoint, make_linear,
-                         make_mlp, project, row_norm_sum, save_checkpoint,
+                         make_mlp, project, save_checkpoint,
                          spectral_norm, tuple_batch_backward)
 from uscrl.tuples import TupleSet, enumerate_all_tuples, subsample_tuples
 
@@ -58,8 +58,12 @@ class TestSpectralNorm:
             spectral_norm(np.array([[1.0, np.nan]]))
 
     def test_row_norm_sum(self):
-        a = np.array([[3.0, 4.0], [0.0, 2.0]])
-        assert row_norm_sum(a) == pytest.approx(7.0)
+        # row norms 5 and 2: a (2,1) cap of 3.5 halves the matrix, and the
+        # spectral cap never binds
+        model = LinearModel(np.array([[3.0, 4.0], [0.0, 2.0]]),
+                            max_col_sum=3.5, max_spectral=100.0)
+        project(model)
+        np.testing.assert_array_equal(model.a_mat, [[1.5, 2.0], [0.0, 1.0]])
 
 
 class TestForward:
@@ -117,7 +121,7 @@ class TestInitAndProjection:
         project(model)
         svd_sigma = np.linalg.svd(model.a_mat, compute_uv=False)[0]
         assert svd_sigma <= 2.0 * (1 + 1e-6)
-        assert row_norm_sum(model.a_mat) <= 6.0 * (1 + 1e-9)
+        assert np.linalg.norm(model.a_mat, axis=1).sum() <= 6.0 * (1 + 1e-9)
         # rank one: the spectral norm equals the Frobenius norm, just above cap
         mlp = MlpModel([1.001 * np.outer([0.6, 0.8], [1.0, 0.0, 0.0])],
                        [1.0], ["identity"])
@@ -283,6 +287,8 @@ class TestBackward:
         ds = make_pool([5, 5, 4], dim=5, seed=23)
         model = rand_mlp([5, 6, 4], seed=24)
         ts = subsample_tuples(ds, 2, 12, seed=25)
+        # 48 index entries over 14 rows: the whole-pool forward
+        assert ts.m_count * 4 >= model_mod.WHOLE_POOL_RATIO * ds.n
         _fd_check(model, ds, ts, LossSpec(clip=50.0))
 
     def test_hinge_gradients_match_finite_differences(self):
@@ -326,7 +332,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("kind", ["logistic", "hinge"])
-    @pytest.mark.parametrize("pool", ["every_row_repeated", "mostly_untouched"])
+    @pytest.mark.parametrize("pool", ["every_row_repeated", "mostly_untouched",
+                                      "whole_pool_untouched"])
     def test_linear_gradient_matches_loop_oracle(self, k, kind, pool):
         if pool == "every_row_repeated":
             # the whole enumeration twice: every row, every tuple repeated
@@ -334,12 +341,21 @@ class TestBackward:
             ts = enumerate_all_tuples(ds, k)
             cols = (ts.anchors, ts.positives, ts.negatives, ts.class_ids)
             ts = TupleSet(ts.regime, k, *(np.concatenate([c] * 2) for c in cols))
-        else:
+        elif pool == "mostly_untouched":
             ds = make_pool([700, 700, 600], dim=5, seed=41)
             ts = subsample_tuples(ds, k, 24, seed=42)
-        used = np.unique(np.concatenate([ts.anchors, ts.positives,
-                                         ts.negatives.ravel()]))
-        assert (used.size == ds.n) == (pool == "every_row_repeated")
+        else:
+            # just enough tuples for the whole-pool forward, which leaves
+            # a few rows with no term
+            ds = make_pool([14, 13, 13], dim=5, seed=44)
+            m = -(-model_mod.WHOLE_POOL_RATIO * ds.n // (k + 2))
+            ts = subsample_tuples(ds, k, m, seed=44)
+        idx = np.concatenate([ts.anchors, ts.positives, ts.negatives.ravel()])
+        whole = idx.size >= model_mod.WHOLE_POOL_RATIO * ds.n
+        untouched = np.unique(idx).size < ds.n
+        assert (whole, untouched) == {"every_row_repeated": (True, False),
+                                      "mostly_untouched": (False, True),
+                                      "whole_pool_untouched": (True, True)}[pool]
         model = rand_linear(5, 4, seed=43)
         reps = model.forward(ds.x)
         v = np.einsum("bd,bkd->bk", reps[ts.anchors],
