@@ -122,8 +122,7 @@ def _train_config(cfg: dict, k: int, seed: int) -> TrainConfig:
 
 
 def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
-                    outputs: list[str], started: str,
-                    extra: dict | None = None) -> str:
+                    outputs: list[str], started: str) -> str:
     manifest = {
         "tool": "uscrl",
         "version": __version__,
@@ -136,8 +135,6 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if extra:
-        manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
     _write_json(path, manifest)
     return path
@@ -213,16 +210,12 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
                                   "subsampled estimator")
             ts = subsample_tuples(ds, k, cfg["m_tuples"], seed=seed)
             est = subsampled_risk(model, ds, ts, spec)
-        elif estimator == "ustat_exact":
-            est = ustat_overall(model, ds, k, spec, mode=Exact(cap=cap))
-        elif estimator == "ustat_mc":
-            est = ustat_overall(model, ds, k, spec,
-                                mode=MonteCarlo(mc_draws, seed=seed))
-        elif estimator == "vstat_exact":
-            est = vstat_overall(model, ds, k, spec, mode=Exact(cap=cap))
-        elif estimator == "vstat_mc":
-            est = vstat_overall(model, ds, k, spec,
-                                mode=MonteCarlo(mc_draws, seed=seed))
+        elif estimator.startswith(("ustat_", "vstat_")):
+            stat, how = estimator.split("_")
+            overall = ustat_overall if stat == "ustat" else vstat_overall
+            est = overall(model, ds, k, spec,
+                          mode=Exact(cap=cap) if how == "exact"
+                          else MonteCarlo(mc_draws, seed=seed))
         else:  # enumeration_mean: independent nu-weighted enumeration
             ts = enumerate_all_tuples(ds, k, cap=cap)
             if ts.m_count == 0:
@@ -290,8 +283,7 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
 
 
 def _regimes_worker(args):
-    pool_blob, cfg, k, seed = args
-    pool = LabeledDataset(pool_blob["x"], pool_blob["y"], pool_blob["c"])
+    pool, cfg, k, seed = args
     gspec = _gaussian_spec(cfg["dataset"])
     tcfg = _train_config(cfg, k, seed)
     return compare_regimes(pool, cfg["n_disjoint"], k, cfg["m_grid"],
@@ -302,8 +294,7 @@ def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
                            jobs: int) -> list[str]:
     pool = _load_pool(cfg["dataset"], seed)
     k = cfg["k"]
-    blob = {"x": pool.x, "y": pool.y, "c": pool.num_classes}
-    tasks = [(blob, cfg, k, int(s)) for s in cfg["seeds"]]
+    tasks = [(pool, cfg, k, int(s)) for s in cfg["seeds"]]
     chunks = []
     with contextlib.ExitStack() as stack:
         run = map
@@ -319,9 +310,7 @@ def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
             except UscrlError as e:
                 raise type(e)(f"job {i} (seed {t[3]}): {e}") from None
     rows = [r for chunk in chunks for r in chunk]
-    header = ["regime", "m_count", "seed", "n_disjoint", "k",
-              "final_train_loss", "final_risk", "final_risk_se",
-              "probe_accuracy"]
+    header = list(rows[0])  # seeds is non-empty and each seed has an iid row
     path = os.path.join(out_dir, "regimes.csv")
     _write_csv(path, header, [[row[h] for h in header] for row in rows])
     return [path]
@@ -340,11 +329,9 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
         m_cap=cfg.get("m_cap", 200000))
     header = ["k", "num_classes", "eps", "seed", "reached", "n_eps",
               "gap_at_hi", "reference_risk", "mean_n_eps"]
-    rows = []
-    for r in result["per_seed"]:
-        rows.append([k, gspec.num_classes, cfg["eps"], r["seed"],
-                     r["reached"], r["n_eps"], r["gap_at_hi"],
-                     result["reference_risk"], result["mean_n_eps"]])
+    rows = [[k, gspec.num_classes, cfg["eps"], r["seed"], r["reached"],
+             r["n_eps"], r["gap_at_hi"], result["reference_risk"],
+             result["mean_n_eps"]] for r in result["per_seed"]]
     csv_path = os.path.join(out_dir, "complexity.csv")
     _write_csv(csv_path, header, rows)
     json_path = os.path.join(out_dir, "complexity.json")
@@ -355,18 +342,13 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
 def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     k = cfg["k"]
     tcfg = _train_config(cfg, k, seed)
-    eval_spec = None
-    holdout = None
+    ds = _load_pool(cfg["dataset"], seed)
+    eval_spec = holdout = None
     if cfg["dataset"]["type"] == "gaussian":
-        ds = _load_pool(cfg["dataset"], seed)
         eval_spec = _gaussian_spec(cfg["dataset"])
-    else:
-        full = _load_pool(cfg["dataset"], seed)
-        frac = cfg.get("holdout_fraction")
-        if frac:
-            ds, holdout = train_holdout_split(full, frac, seed=seed)
-        else:
-            ds = full
+    elif cfg.get("holdout_fraction"):
+        ds, holdout = train_holdout_split(ds, cfg["holdout_fraction"],
+                                          seed=seed)
     report = train(ds, tcfg, eval_spec=eval_spec, holdout=holdout,
                    with_probe=cfg.get("with_probe", False))
     prefix = os.path.join(out_dir, "checkpoint")

@@ -118,10 +118,10 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
     """(anchors, positives, negatives) index chunks over one class's terms.
 
     Exact U: tuples.class_tuple_chunks, _CHUNK // C(N_c-, k) pairs (at
-    least one) per chunk. Exact V: ranks unpacked into (anchor, positive,
-    k negative digits). Monte Carlo U: num_draws ordered pairs and
-    k-subsets from rng, _CHUNK per chunk. Monte Carlo V: all num_draws
-    index tuples from rng in one draw.
+    least one) per chunk. Exact V: ranks unpacked by np.unravel_index into
+    (anchor, positive, k negative digits). Monte Carlo U: num_draws
+    ordered pairs and k-subsets from rng, _CHUNK per chunk. Monte Carlo V:
+    all num_draws index tuples from rng in one draw.
     """
     n_pos, n_neg = len(pos_idx), len(neg_idx)
     if isinstance(mode, MonteCarlo):
@@ -139,16 +139,12 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
             yield pos_idx[a], pos_idx[p], neg_idx[sub]
         return
     if stat == "vstat":
-        neg_total = n_neg**k
-        count = n_pos * n_pos * neg_total
+        shape = (n_pos, n_pos) + (n_neg,) * k
+        count = math.prod(shape)
         for lo in range(0, count, _CHUNK):
-            t = np.arange(lo, min(count, lo + _CHUNK), dtype=np.int64)
-            pair, rem = divmod(t, neg_total)
-            j1, j2 = divmod(pair, n_pos)
-            digits = np.empty((t.shape[0], k), dtype=np.int64)
-            for pos in range(k - 1, -1, -1):
-                rem, digits[:, pos] = divmod(rem, n_neg)
-            yield pos_idx[j1], pos_idx[j2], neg_idx[digits]
+            j1, j2, *digits = np.unravel_index(
+                np.arange(lo, min(count, lo + _CHUNK)), shape)
+            yield pos_idx[j1], pos_idx[j2], neg_idx[np.stack(digits, axis=1)]
         return
     yield from class_tuple_chunks(pos_idx, neg_idx, k,
                                   max(1, _CHUNK // math.comb(n_neg, k)))

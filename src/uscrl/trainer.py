@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
-from .errors import ConfigError, NumericError, PreconditionError, SizeError
+from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
 from .model import (LinearModel, MlpModel, fit_probe, make_linear, make_mlp,
                     project, tuple_batch_backward)
@@ -63,12 +63,11 @@ class TrainConfig:
             raise ConfigError(f"unknown model family {self.family!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        if any(v < 1 for v in (self.epochs, self.batch_size, self.k,
+                               self.m_tuples)):
+            raise ConfigError("epochs, batch_size, k and m_tuples must be >= 1")
+        if any(v < 0 for v in (self.lr, self.momentum, self.eval_every)):
+            raise ConfigError("lr, momentum and eval_every must be >= 0")
 
     def loss_spec(self) -> LossSpec:
         return LossSpec.for_k(self.k, self.loss_kind, self.clip, self.margin)
@@ -109,11 +108,8 @@ def _build_model(cfg: TrainConfig, in_dim: int):
 
 
 def _draw_tuples(ds: LabeledDataset, cfg: TrainConfig, epoch: int) -> TupleSet:
-    ts = regime_tuples(ds, cfg.k, cfg.regime, _child_seed(cfg.seed, 2, epoch),
-                       m_tuples=cfg.m_tuples, cap=cfg.cap)
-    if cfg.regime == REGIME_IID and ts.m_count == 0:
-        raise PreconditionError("pool admits no disjoint tuple")
-    return ts
+    return regime_tuples(ds, cfg.k, cfg.regime, _child_seed(cfg.seed, 2, epoch),
+                         m_tuples=cfg.m_tuples, cap=cfg.cap)
 
 
 def _evaluate(model, cfg: TrainConfig, spec: LossSpec,
@@ -157,8 +153,11 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     ``tuples`` pins an explicit training tuple set (regime sampling and
     per-epoch resampling are then disabled). Evaluation uses fresh
     population draws when ``eval_spec`` is given, otherwise a Monte Carlo
-    U-statistic on ``holdout`` when provided. Identical config and seed
-    reproduce the exact same report apart from wall time.
+    U-statistic on ``holdout`` when provided. It runs after every
+    ``eval_every``-th epoch and always after the last one; each run adds
+    an eval point, except a last-epoch one with no risk to report. The
+    ``final_*`` fields are the last epoch's evaluation. Identical config
+    and seed reproduce the exact same report apart from wall time.
     """
 
     t0 = time.perf_counter()
@@ -176,10 +175,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     epoch_losses = []
     eval_points = []
     n_steps = 0
-    m_used = 0
     for epoch in range(cfg.epochs):
         ts = fixed if fixed is not None else _draw_tuples(ds, cfg, epoch)
-        m_used = ts.m_count
         order = rng.permutation(ts.m_count)
         loss_sum = 0.0
         for lo in range(0, ts.m_count, cfg.batch_size):
@@ -208,27 +205,23 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
             loss_sum += batch_loss * idx.size
             n_steps += 1
         epoch_losses.append(loss_sum / ts.m_count)
-        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0 \
-                and epoch + 1 < cfg.epochs:
+        last = epoch + 1 == cfg.epochs
+        if last or (cfg.eval_every and (epoch + 1) % cfg.eval_every == 0):
             risk, se = _evaluate(model, cfg, spec, eval_spec, holdout)
             point = {"epoch": epoch + 1, "risk": risk, "std_error": se}
             if with_probe:
                 point["probe_accuracy"] = _probe_accuracy(
                     model, cfg, ds, eval_spec, holdout)
-            eval_points.append(point)
+            if not (last and risk is None):
+                eval_points.append(point)
 
-    final_risk, final_se = _evaluate(model, cfg, spec, eval_spec, holdout)
-    probe_acc = _probe_accuracy(model, cfg, ds, eval_spec, holdout) \
-        if with_probe else None
-    if final_risk is not None:
-        eval_points.append({"epoch": cfg.epochs, "risk": final_risk,
-                            "std_error": final_se,
-                            **({"probe_accuracy": probe_acc} if with_probe else {})})
     return TrainReport(
         config=asdict(cfg), epoch_losses=epoch_losses,
-        eval_points=eval_points, final_risk=final_risk, final_risk_se=final_se,
-        final_probe_accuracy=probe_acc, n_steps=n_steps, m_tuples_used=m_used,
-        wall_seconds=time.perf_counter() - t0, model=model)
+        eval_points=eval_points, final_risk=point["risk"],
+        final_risk_se=point["std_error"],
+        final_probe_accuracy=point.get("probe_accuracy"), n_steps=n_steps,
+        m_tuples_used=ts.m_count, wall_seconds=time.perf_counter() - t0,
+        model=model)
 
 
 def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
@@ -237,12 +230,13 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
                     holdout: LabeledDataset | None = None) -> list[dict]:
     """Paired comparison of the three tuple regimes on one pool.
 
-    For each seed: draw n disjoint tuples from the pool and train on them
-    (the i.i.d. regime); re-pool exactly the n*(k+2) samples those tuples
-    touch, then train on M sub-sampled tuples from that smaller pool for
-    each M in the grid; and, when the full enumeration of the re-pooled
-    samples fits under the cap, train on all tuples. Model init is shared
-    within a seed so the comparison is paired.
+    For each seed, draw n disjoint tuples and re-pool the n*(k+2) samples
+    they touch. The seed's runs, in order: the i.i.d. regime on those
+    tuples over the whole pool; M sub-sampled tuples of the re-pooled
+    samples for each M in the grid; all their tuples when the enumeration
+    fits under the cap. Each run builds its tuples just before training
+    and gives one row, whose keys are the regimes.csv header. Model init
+    is shared within a seed so the comparison is paired.
     """
 
     rows = []
@@ -259,41 +253,29 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
                 f"expected {n_disjoint * (k + 2)}")
         sub_pool = pool.subset(used)
 
-        iid_cfg = replace(base, regime=REGIME_IID)
-        report = train(pool, iid_cfg, eval_spec=eval_spec, holdout=holdout,
-                       tuples=chosen, with_probe=True)
-        rows.append(_regime_row(REGIME_IID, chosen.m_count, seed, n_disjoint,
-                                k, report))
-
-        for m in m_grid:
-            ts = subsample_tuples(sub_pool, k, int(m),
-                                  seed=_child_seed(seed, 12, m))
-            sub_cfg = replace(base, regime=REGIME_SUB, m_tuples=int(m),
-                              resample_per_epoch=False)
-            report = train(sub_pool, sub_cfg, eval_spec=eval_spec,
-                           holdout=holdout, tuples=ts, with_probe=True)
-            rows.append(_regime_row(REGIME_SUB, int(m), seed, n_disjoint, k,
-                                    report))
-
-        total, _ = count_all_tuples(sub_pool, k)
-        if total <= cfg.cap:
-            ts = enumerate_all_tuples(sub_pool, k, cap=cfg.cap)
-            all_cfg = replace(base, regime=REGIME_ALL)
-            report = train(sub_pool, all_cfg, eval_spec=eval_spec,
-                           holdout=holdout, tuples=ts, with_probe=True)
-            rows.append(_regime_row(REGIME_ALL, ts.m_count, seed, n_disjoint,
-                                    k, report))
+        runs = [(REGIME_IID, None)] + [(REGIME_SUB, int(m)) for m in m_grid]
+        if count_all_tuples(sub_pool, k)[0] <= cfg.cap:
+            runs.append((REGIME_ALL, None))
+        for regime, m in runs:
+            run_cfg = replace(base, regime=regime)
+            if regime == REGIME_IID:
+                ds, ts = pool, chosen
+            elif regime == REGIME_SUB:
+                ds, ts = sub_pool, subsample_tuples(
+                    sub_pool, k, m, seed=_child_seed(seed, 12, m))
+                run_cfg = replace(run_cfg, m_tuples=m, resample_per_epoch=False)
+            else:
+                ds, ts = sub_pool, enumerate_all_tuples(sub_pool, k,
+                                                        cap=cfg.cap)
+            report = train(ds, run_cfg, eval_spec=eval_spec, holdout=holdout,
+                           tuples=ts, with_probe=True)
+            rows.append({"regime": regime, "m_count": ts.m_count,
+                         "seed": int(seed), "n_disjoint": n_disjoint, "k": k,
+                         "final_train_loss": report.epoch_losses[-1],
+                         "final_risk": report.final_risk,
+                         "final_risk_se": report.final_risk_se,
+                         "probe_accuracy": report.final_probe_accuracy})
     return rows
-
-
-def _regime_row(regime: str, m_count: int, seed, n_disjoint: int, k: int,
-                report: TrainReport) -> dict:
-    return {"regime": regime, "m_count": m_count, "seed": int(seed),
-            "n_disjoint": n_disjoint, "k": k,
-            "final_train_loss": report.epoch_losses[-1],
-            "final_risk": report.final_risk,
-            "final_risk_se": report.final_risk_se,
-            "probe_accuracy": report.final_probe_accuracy}
 
 
 def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
@@ -318,52 +300,44 @@ def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
         raise ConfigError("need 1 <= lo < hi")
     spec = cfg.loss_spec()
 
-    n_ref = ref_mult * hi
-    ref_cfg = replace(
-        cfg, k=k, regime=REGIME_SUB, m_tuples=min(n_ref * n_ref, m_cap),
-        epochs=cfg.epochs * REF_EPOCH_MULT, seed=_child_seed(cfg.seed, 90))
-    ds_ref = generate_gaussian(gspec, n_ref, seed=_child_seed(cfg.seed, 91))
-    ref_report = train(ds_ref, ref_cfg)
-    ref_risk = population_risk_mc(
-        ref_report.model, gspec, k, spec, num_draws=cfg.eval_draws,
-        seed=_child_seed(cfg.seed, 92)).value
-
-    def gap_at(n: int, seed: int, log: list) -> float:
-        probe_cfg = replace(
-            cfg, k=k, regime=REGIME_SUB, m_tuples=min(n * n, m_cap),
-            seed=_child_seed(seed, 93, n))
-        ds = generate_gaussian(gspec, n, seed=_child_seed(seed, 94, n))
-        report = train(ds, probe_cfg)
-        risk = population_risk_mc(
+    def risk_at(n: int, run_cfg: TrainConfig, pool_seed: int) -> float:
+        """Population risk of a model trained on a fresh pool of n samples."""
+        run_cfg = replace(run_cfg, k=k, regime=REGIME_SUB,
+                          m_tuples=min(n * n, m_cap))
+        report = train(generate_gaussian(gspec, n, seed=pool_seed), run_cfg)
+        return population_risk_mc(
             report.model, gspec, k, spec, num_draws=cfg.eval_draws,
             seed=_child_seed(cfg.seed, 92)).value
-        gap = risk - ref_risk
-        log.append({"n": n, "gap": gap})
-        return gap
+
+    n_ref = ref_mult * hi
+    ref_risk = risk_at(n_ref, replace(cfg, epochs=cfg.epochs * REF_EPOCH_MULT,
+                                      seed=_child_seed(cfg.seed, 90)),
+                       _child_seed(cfg.seed, 91))
 
     per_seed = []
     for seed in seeds:
         log: list = []
-        gap_hi = gap_at(hi, seed, log)
-        if gap_hi > eps:
-            per_seed.append({"seed": int(seed), "reached": False,
-                             "n_eps": None, "gap_at_hi": gap_hi,
-                             "probes": log})
-            continue
-        gap_lo = gap_at(lo, seed, log)
-        if gap_lo <= eps:
-            per_seed.append({"seed": int(seed), "reached": True, "n_eps": lo,
-                             "gap_at_hi": gap_hi, "probes": log})
-            continue
-        a, b = lo, hi
-        while b - a > search_tol:
-            mid = (a + b) // 2
-            if gap_at(mid, seed, log) <= eps:
-                b = mid
-            else:
-                a = mid
-        per_seed.append({"seed": int(seed), "reached": True, "n_eps": b,
-                         "gap_at_hi": gap_hi, "probes": log})
+
+        def made_target(n: int) -> bool:
+            gap = risk_at(n, replace(cfg, seed=_child_seed(seed, 93, n)),
+                          _child_seed(seed, 94, n)) - ref_risk
+            log.append({"n": n, "gap": gap})
+            return gap <= eps
+
+        n_eps = None
+        if made_target(hi):
+            a, n_eps = lo, hi
+            if made_target(lo):
+                n_eps = lo
+            while n_eps - a > search_tol:  # gap(a) > eps >= gap(n_eps)
+                mid = (a + n_eps) // 2
+                if made_target(mid):
+                    n_eps = mid
+                else:
+                    a = mid
+        per_seed.append({"seed": int(seed), "reached": n_eps is not None,
+                         "n_eps": n_eps, "gap_at_hi": log[0]["gap"],
+                         "probes": log})
 
     reached = [r["n_eps"] for r in per_seed if r["reached"]]
     return {"k": k, "num_classes": gspec.num_classes, "eps": eps,

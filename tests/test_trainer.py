@@ -37,6 +37,12 @@ class TestTrainConfig:
             TrainConfig(lr=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(k=0)
+        with pytest.raises(ConfigError):
+            TrainConfig(m_tuples=0)
+        with pytest.raises(ConfigError):
+            TrainConfig(momentum=-0.1)
+        with pytest.raises(ConfigError):
+            TrainConfig(eval_every=-1)
 
     def test_loss_spec_defaults(self):
         spec = TrainConfig(k=3).loss_spec()
@@ -129,6 +135,22 @@ class TestTrain:
         assert report.final_risk == report.eval_points[-1]["risk"]
         assert report.final_probe_accuracy is not None
 
+    def test_eval_every_second_epoch_and_the_last(self):
+        gspec = GaussianSpec.random(3, dim=5, sigma=0.3, seed=18)
+        pool = generate_gaussian(gspec, 90, seed=19)
+        tr, hold = train_holdout_split(pool, 0.3, seed=20)
+        cfg = small_cfg(epochs=5, eval_every=2, eval_draws=600)
+        report = train(tr, cfg, holdout=hold)
+        assert [p["epoch"] for p in report.eval_points] == [2, 4, 5]
+        assert report.final_risk == report.eval_points[-1]["risk"]
+        assert report.final_risk_se == report.eval_points[-1]["std_error"]
+
+        report = train(tr, cfg, with_probe=True)
+        assert [(p["epoch"], p["risk"]) for p in report.eval_points] == [
+            (2, None), (4, None)]
+        assert report.final_risk is None
+        assert report.final_probe_accuracy is not None
+
     def test_no_eval_sources_means_no_risk(self):
         ds = make_pool([8, 8], dim=4, seed=21)
         report = train(ds, small_cfg())
@@ -172,6 +194,17 @@ class TestCompareRegimes:
         assert all(r["m_count"] == 4 for r in iid)
         assert all(r["n_disjoint"] == 4 and r["k"] == 2 for r in rows)
         assert all(r["final_risk"] is not None for r in rows)
+
+    def test_enumeration_over_cap_is_skipped(self):
+        gspec = GaussianSpec.random(3, dim=6, sigma=0.4, seed=24)
+        pool = generate_gaussian(gspec, 24, seed=25)
+        # any re-pooled set of 4 disjoint k=2 tuples has more than one tuple
+        cfg = small_cfg(epochs=1, eval_draws=400, cap=1)
+        rows = compare_regimes(pool, n_disjoint=4, k=2, m_grid=[50, 100],
+                               seeds=[0, 1], cfg=cfg, eval_spec=gspec)
+        for seed in (0, 1):
+            assert [r["regime"] for r in rows if r["seed"] == seed] == [
+                REGIME_IID, REGIME_SUB, REGIME_SUB]
 
     def test_deterministic(self):
         gspec = GaussianSpec.random(2, dim=4, sigma=0.4, seed=26)
