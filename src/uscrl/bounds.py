@@ -51,13 +51,12 @@ THEOREM_CONSTANTS = {
     "subsampled_linear": {
         "mc_small_coef": 4.0, "small_coef": 32.0,
         "complexity_coef": 3072.0 * SQRT2,
-        "phi_inner_a": 44.0, "phi_inner_b": 7.0,
         "mc_coef": 6.0, "mc_log_mult": 8.0,
         "conf_coef": 44.0, "conf_log_mult": 16.0, "lambda_mult": 16.0,
     },
     "subsampled_nn": {
         "mc_small_coef": 4.0, "small_coef": 32.0,
-        "complexity_coef": 24.0, "log_inner": 12.0,
+        "complexity_coef": 24.0,
         "mc_coef": 6.0, "mc_log_mult": 8.0,
         "conf_coef": 44.0, "conf_log_mult": 16.0, "lambda_mult": 16.0,
     },

@@ -5,8 +5,8 @@ its outputs under --out, and drops a manifest.json recording the config
 hash, seeds and output names. Reruns with the same config and seed
 produce byte-identical result files (the manifest's timestamps aside).
 
-Exit codes: 0 success, 2 configuration error, 3 precondition failure,
-4 numeric failure.
+Exit codes, held by the classes in errors.py: 0 success, 2 configuration
+error, 3 precondition failure or out of memory, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -27,8 +28,7 @@ from . import __version__
 from .bounds import BoundInputs, evaluate_theorem
 from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
                       load_idx, train_holdout_split)
-from .errors import (ConfigError, NumericError, PreconditionError,
-                     UscrlError)
+from .errors import ConfigError, PreconditionError, UscrlError
 from .fileio import atomic_write
 from .loss import LossSpec, tuple_losses
 from .model import load_checkpoint, save_checkpoint
@@ -46,6 +46,7 @@ CSV_SCHEMAS = {
 }
 
 CACHE_ENV = "USCRL_CACHE_DIR"
+INT64 = 2**63  # config integers and seeds must lie in [-INT64, INT64)
 
 
 def _schema():
@@ -71,13 +72,31 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _read_config(path: str) -> dict:
+    with open(path) as f:
+        try:
+            return json.load(f, parse_int=_int64)
+        except (ValueError, RecursionError) as e:  # long ints, deep nesting
+            raise ConfigError(f"config is not valid JSON: {e}") from e
+
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -INT64 <= value < INT64:
+        raise ConfigError(f"config integer {text:.30}{'...' * (len(text) > 30)}"
+                          " is outside [-2**63, 2**63)")
+    return value
+
+
+def _given(cfg: dict, *keys: str) -> dict:
+    """The keys the config sets, so the callee's defaults apply otherwise."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def _gaussian_spec(ds_cfg: dict) -> GaussianSpec:
-    return GaussianSpec.random(
-        num_classes=ds_cfg["num_classes"],
-        dim=ds_cfg.get("dim", 128),
-        sigma=ds_cfg.get("sigma", 0.1),
-        seed=ds_cfg.get("centers_seed", 0),
-        priors=ds_cfg.get("priors"))
+    return GaussianSpec.random(num_classes=ds_cfg["num_classes"],
+                               seed=ds_cfg.get("centers_seed", 0),
+                               **_given(ds_cfg, "dim", "sigma", "priors"))
 
 
 def _cache_key(ds_cfg: dict, seed: int) -> str:
@@ -191,40 +210,40 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     cap = cfg.get("cap", DEFAULT_CAP)
     mc_draws = cfg.get("mc_draws", 10000)
 
+    if estimator == "population_mc" and cfg["dataset"]["type"] != "gaussian":
+        raise ConfigError(
+            "config field estimator: population_mc needs a gaussian "
+            "dataset (an empirical pool has no population law)")
+    data = (_gaussian_spec(cfg["dataset"]) if estimator == "population_mc"
+            else _load_pool(cfg["dataset"], seed))
+    if model.in_dim != data.dim:
+        raise ConfigError(
+            f"checkpoint expects input dim {model.in_dim}, dataset has {data.dim}")
+
     if estimator == "population_mc":
-        if cfg["dataset"]["type"] != "gaussian":
-            raise ConfigError(
-                "config field estimator: population_mc needs a gaussian "
-                "dataset (an empirical pool has no population law)")
-        gspec = _gaussian_spec(cfg["dataset"])
-        est = population_risk_mc(model, gspec, k, spec, num_draws=mc_draws,
+        est = population_risk_mc(model, data, k, spec, num_draws=mc_draws,
                                  seed=seed)
-    else:
-        ds = _load_pool(cfg["dataset"], seed)
-        if model.in_dim != ds.dim:
-            raise ConfigError(
-                f"checkpoint expects input dim {model.in_dim}, pool has {ds.dim}")
-        if estimator == "subsampled":
-            if "m_tuples" not in cfg:
-                raise ConfigError("config field m_tuples: required for the "
-                                  "subsampled estimator")
-            ts = subsample_tuples(ds, k, cfg["m_tuples"], seed=seed)
-            est = subsampled_risk(model, ds, ts, spec)
-        elif estimator.startswith(("ustat_", "vstat_")):
-            stat, how = estimator.split("_")
-            overall = ustat_overall if stat == "ustat" else vstat_overall
-            est = overall(model, ds, k, spec,
-                          mode=Exact(cap=cap) if how == "exact"
-                          else MonteCarlo(mc_draws, seed=seed))
-        else:  # enumeration_mean: independent nu-weighted enumeration
-            ts = enumerate_all_tuples(ds, k, cap=cap)
-            if ts.m_count == 0:
-                raise PreconditionError("no valid tuple to enumerate")
-            losses = tuple_losses(model, ds, ts.anchors, ts.positives,
-                                  ts.negatives, spec)
-            masses = tuple_masses(ds, k, ts.class_ids)
-            est = RiskEstimate(float(np.sum(losses * masses)),
-                               "enumeration_mean", ts.m_count)
+    elif estimator == "subsampled":
+        if "m_tuples" not in cfg:
+            raise ConfigError("config field m_tuples: required for the "
+                              "subsampled estimator")
+        ts = subsample_tuples(data, k, cfg["m_tuples"], seed=seed)
+        est = subsampled_risk(model, data, ts, spec)
+    elif estimator.startswith(("ustat_", "vstat_")):
+        stat, how = estimator.split("_")
+        overall = ustat_overall if stat == "ustat" else vstat_overall
+        est = overall(model, data, k, spec,
+                      mode=Exact(cap=cap) if how == "exact"
+                      else MonteCarlo(mc_draws, seed=seed))
+    else:  # enumeration_mean: independent nu-weighted enumeration
+        ts = enumerate_all_tuples(data, k, cap=cap)
+        if ts.m_count == 0:
+            raise PreconditionError("no valid tuple to enumerate")
+        losses = tuple_losses(model, data, ts.anchors, ts.positives,
+                              ts.negatives, spec)
+        masses = tuple_masses(data, k, ts.class_ids)
+        est = RiskEstimate(float(np.sum(losses * masses)),
+                           "enumeration_mean", ts.m_count)
 
     path = os.path.join(out_dir, "estimate.json")
     _write_json(path, est.to_json())
@@ -256,14 +275,10 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
         _write_json(path, report.to_json())
         return [path]
 
-    params = sorted(sweep.keys())
-    grids = [sweep[p] for p in params]
-    combos = [[]]
-    for grid in grids:
-        combos = [c + [v] for c in combos for v in grid]
+    params = sorted(sweep)
     rows = []
     term_names: list[str] = []
-    for combo in combos:
+    for combo in itertools.product(*(sweep[p] for p in params)):
         report = evaluate_theorem(
             theorem, _bound_inputs(cfg, **dict(zip(params, combo))),
             emp_rad=emp_rad)
@@ -296,14 +311,13 @@ def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
     k = cfg["k"]
     tasks = [(pool, cfg, k, int(s)) for s in cfg["seeds"]]
     chunks = []
-    with contextlib.ExitStack() as stack:
-        run = map
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    executor = contextlib.nullcontext()
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            run = pool.map
-        results = run(_regimes_worker, tasks)
+        executor = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    with executor as ex:
+        results = (ex.map if ex else map)(_regimes_worker, tasks)
         for i, t in enumerate(tasks):
             try:
                 chunks.append(next(results))
@@ -324,9 +338,7 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
     result = sample_complexity_search(
         gspec, k, cfg["eps"], cfg["lo"], cfg["hi"],
         [int(s) for s in cfg["seeds"]], tcfg,
-        search_tol=cfg.get("search_tol", 100),
-        ref_mult=cfg.get("ref_mult", 4),
-        m_cap=cfg.get("m_cap", 200000))
+        **_given(cfg, "search_tol", "ref_mult", "m_cap"))
     header = ["k", "num_classes", "eps", "seed", "reached", "n_eps",
               "gap_at_hi", "reference_risk", "mean_n_eps"]
     rows = [[k, gspec.num_classes, cfg["eps"], r["seed"], r["reached"],
@@ -359,12 +371,16 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
 
 
 _SUBCOMMANDS = {
-    "sample": ("sample", cmd_sample),
-    "estimate": ("estimate", cmd_estimate),
-    "bounds": ("bounds", cmd_bounds),
-    "experiment:regimes": ("experiment_regimes", cmd_experiment_regimes),
-    "experiment:complexity": ("experiment_complexity", cmd_experiment_complexity),
-    "train": ("train", cmd_train),
+    "sample": ("draw or enumerate a tuple set, write JSON-lines", cmd_sample),
+    "estimate": ("evaluate a risk estimator for a checkpointed model",
+                 cmd_estimate),
+    "bounds": ("evaluate a bound statement or sweep its parameters",
+               cmd_bounds),
+    "experiment": ("run an experiment protocol",
+                   {"regimes": cmd_experiment_regimes,
+                    "complexity": cmd_experiment_complexity}),
+    "train": ("train a representation model, write checkpoint and report",
+              cmd_train),
 }
 
 
@@ -374,8 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Contrastive tuple sampling, risk estimation, bound "
                     "calculators and training over fixed labeled pools.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, help_text, extra=None):
+    for name, (help_text, command) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
@@ -383,63 +398,40 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes where supported")
-        if extra:
-            extra(p)
-        return p
-
-    add("sample", "draw or enumerate a tuple set, write JSON-lines")
-    add("estimate", "evaluate a risk estimator for a checkpointed model")
-    add("bounds", "evaluate a bound statement or sweep its parameters")
-    exp = add("experiment", "run an experiment protocol",
-              extra=lambda p: p.add_argument(
-                  "protocol", choices=["regimes", "complexity"]))
-    add("train", "train a representation model, write checkpoint and report")
+        if isinstance(command, dict):
+            p.add_argument("protocol", choices=list(command))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     key = args.subcommand
-    if key == "experiment":
-        key = f"experiment:{args.protocol}"
-    section, func = _SUBCOMMANDS[key]
+    command = _SUBCOMMANDS[key][1]
+    if isinstance(command, dict):
+        key, command = f"{key}:{args.protocol}", command[args.protocol]
 
     started = _now()
     try:
-        with open(args.config) as f:
-            try:
-                cfg = json.load(f)
-            except (ValueError, RecursionError) as e:  # long ints, deep nesting
-                raise ConfigError(f"config is not valid JSON: {e}") from e
-        _validate_config(cfg, section)
+        cfg = _read_config(args.config)
+        _validate_config(cfg, key.replace(":", "_"))
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
+        if args.seed is not None and not 0 <= args.seed < INT64:
+            raise ConfigError("--seed must be >= 0 and < 2**63")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         os.makedirs(args.out, exist_ok=True)
-        outputs = func(cfg, args.out, seed, args.jobs)
+        outputs = command(cfg, args.out, seed, args.jobs)
         manifest = _write_manifest(args.out, key, cfg, seed,
                                    [os.path.basename(p) for p in outputs],
                                    started)
         print(f"wrote {len(outputs)} output(s) and {manifest}")
         return 0
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except PreconditionError as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return 4
-    except UscrlError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (OSError, MemoryError, UscrlError) as e:
+        if isinstance(e, MemoryError):
+            e = PreconditionError(f"out of memory: {e}")
+        kind = type(e) if isinstance(e, UscrlError) else UscrlError
+        print(f"{kind.prefix}: {e}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

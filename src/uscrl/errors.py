@@ -1,17 +1,22 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, precondition failures (infeasible pools, exceeded enumeration
-caps) with 3, and numeric failures (divergence, non-finite values) with 4.
+Each class carries the process exit code and the stderr prefix the CLI
+reports it with: configuration problems exit with 2, precondition
+failures (infeasible pools, exceeded enumeration caps) with 3, and
+numeric failures (divergence, non-finite values) with 4.
 """
 
 
 class UscrlError(Exception):
     """Base class for package errors."""
 
+    exit_code, prefix = 2, "error"
+
 
 class ConfigError(UscrlError):
     """Invalid configuration value or malformed config structure."""
+
+    exit_code, prefix = 2, "config error"
 
 
 class FormatError(ConfigError):
@@ -20,6 +25,8 @@ class FormatError(ConfigError):
 
 class PreconditionError(UscrlError):
     """Operation preconditions not met by the data (e.g. no feasible class)."""
+
+    exit_code, prefix = 3, "precondition error"
 
 
 class SizeError(PreconditionError):
@@ -33,3 +40,5 @@ class SizeError(PreconditionError):
 
 class NumericError(UscrlError):
     """Numeric failure at runtime (divergence, non-finite values)."""
+
+    exit_code, prefix = 4, "numeric error"

@@ -216,15 +216,10 @@ def _overall(model, ds: LabeledDataset, k: int, spec: LossSpec, mode,
 
 
 def ustat_conditional(model, ds: LabeledDataset, c: int, k: int,
-                      spec: LossSpec, mode=Exact()) -> RiskEstimate:
-    """Class-conditional U-statistic U(f | c); 0 with n_terms 0 if infeasible.
-
-    A Monte Carlo estimate draws from default_rng(mode.seed).
-    """
-    rng = np.random.default_rng(mode.seed) if isinstance(mode, MonteCarlo) \
-        else None
-    return _class_estimate(model.forward(ds.x), "ustat", mode,
-                           *_class_split(ds, c), k, spec, rng)
+                      spec: LossSpec) -> RiskEstimate:
+    """Exact class-conditional U(f | c); 0 with n_terms 0 if infeasible."""
+    return _class_estimate(model.forward(ds.x), "ustat", Exact(),
+                           *_class_split(ds, c), k, spec, None)
 
 
 def ustat_overall(model, ds: LabeledDataset, k: int, spec: LossSpec,

@@ -226,8 +226,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
 
 def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
                     m_grid, seeds, cfg: TrainConfig,
-                    eval_spec: GaussianSpec | None = None,
-                    holdout: LabeledDataset | None = None) -> list[dict]:
+                    eval_spec: GaussianSpec | None = None) -> list[dict]:
     """Paired comparison of the three tuple regimes on one pool.
 
     For each seed, draw n disjoint tuples and re-pool the n*(k+2) samples
@@ -267,8 +266,8 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
             else:
                 ds, ts = sub_pool, enumerate_all_tuples(sub_pool, k,
                                                         cap=cfg.cap)
-            report = train(ds, run_cfg, eval_spec=eval_spec, holdout=holdout,
-                           tuples=ts, with_probe=True)
+            report = train(ds, run_cfg, eval_spec=eval_spec, tuples=ts,
+                           with_probe=True)
             rows.append({"regime": regime, "m_count": ts.m_count,
                          "seed": int(seed), "n_disjoint": n_disjoint, "k": k,
                          "final_train_loss": report.epoch_losses[-1],

@@ -6,6 +6,7 @@ live under tmp_path.
 """
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uscrl import cli
 from uscrl.cli import main
@@ -189,6 +190,17 @@ class TestSample:
         assert code == 3
         assert "precondition error:" in capsys.readouterr().err
 
+    def test_out_of_memory_is_a_precondition_failure(self, tmp_path, capsys):
+        # 10**16 tuples ask for about 80 PB, past any 64-bit address space,
+        # so the allocation fails at once without touching memory
+        cfg = {"dataset": TOY_DS, "k": 1, "regime": "subsampled",
+               "m_tuples": 10**16}
+        code, _ = run(tmp_path, "sample", cfg)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "precondition error: out of memory:" in err
+        assert "Traceback" not in err
+
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples"}
         code, _ = run(tmp_path, "sample", cfg, "--jobs", "0")
@@ -265,6 +277,16 @@ class TestSample:
         assert code == 2
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+
+    def test_seed_flag_outside_int64_is_a_config_error(self, tmp_path,
+                                                        capsys):
+        cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples"}
+        code, _ = run(tmp_path, "sample", cfg, "--seed", str(2**63))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        code, _ = run(tmp_path, "sample", cfg, "--seed", str(2**63 - 1))
+        assert code == 0
 
 
 class TestAtomicWrite:
@@ -372,6 +394,21 @@ class TestEstimate:
         code, _ = run(tmp_path, "estimate", cfg)
         assert code == 2
         assert "input dim 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1, None])
+    def test_population_checkpoint_dim_mismatch(self, tmp_path, capsys, dim):
+        prefix = self._checkpoint(tmp_path, dim=4)
+        ds = {"type": "gaussian", "num_classes": 3}
+        if dim is not None:
+            ds["dim"] = dim
+        cfg = {"dataset": ds, "k": 1, "estimator": "population_mc",
+               "checkpoint": prefix, "mc_draws": 10}
+        code, _ = run(tmp_path, "estimate", cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        # an omitted dim is GaussianSpec.random's default of 128
+        assert f"input dim 4, dataset has {dim or 128}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("estimator", [
         "ustat_exact", "ustat_mc", "vstat_exact", "vstat_mc", "subsampled",
@@ -580,6 +617,15 @@ def _deeply_nested_checkpoint_meta(tmp_path):
     return sub, cfg
 
 
+def _config(sub, cfg):
+    return lambda tmp_path: (sub, json.dumps(cfg))
+
+
+BOUNDS_CFG = {"theorem": "basic", "n": 100, "num_classes": 3, "k": 1,
+              "delta": 0.1, "loss_bound": 2.0, "class_k": 1.0}
+HUGE = 10**400  # a JSON integer that float() cannot hold
+
+
 def _overflowing_idx_config(tmp_path):
     """An images header claiming 0xFFFFFFFF images of 0xFFFFFFFF^2 pixels."""
     img, lab = write_idx_pair(tmp_path, labels=[0, 1, 0, 1])
@@ -599,10 +645,31 @@ class TestMalformedInputExitCodes:
         _overflowing_idx_config,
         _deeply_nested_config,
         _deeply_nested_checkpoint_meta,
+        _config("bounds", {**BOUNDS_CFG, "n": HUGE}),
+        _config("bounds", {**BOUNDS_CFG, "k": HUGE}),
+        _config("bounds", {**BOUNDS_CFG, "theorem": "subsampled",
+                           "emp_rad": 0.1, "m_tuples": HUGE}),
+        _config("bounds", {**BOUNDS_CFG, "loss_bound": HUGE}),
+        _config("bounds", {**BOUNDS_CFG, "class_k": HUGE}),
+        _config("sample", {"dataset": TOY_DS, "k": 10**30,
+                           "regime": "iid_disjoint"}),
+        _config("sample", {"dataset": {**TOY_DS, "sigma": HUGE}, "k": 1,
+                           "regime": "all_tuples"}),
+        _config("sample", {"dataset": {**TOY_DS, "centers_seed": 10**50},
+                           "k": 1, "regime": "all_tuples"}),
+        _config("sample", {"dataset": TOY_DS, "k": 1, "regime": "all_tuples",
+                           "seed": 2**63}),
+        _config("train", {"dataset": TOY_DS, "k": 1,
+                          "train": {"lr": HUGE}}),
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
-            "config-nested-too-deep", "checkpoint-meta-nested-too-deep"])
+            "config-nested-too-deep", "checkpoint-meta-nested-too-deep",
+            "bounds-n-over-int64", "bounds-k-over-int64",
+            "bounds-m-tuples-over-int64", "bounds-loss-bound-over-int64",
+            "bounds-class-k-over-int64", "iid-k-over-int64",
+            "sigma-over-int64", "centers-seed-over-int64",
+            "seed-over-int64", "lr-over-int64"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -612,6 +679,125 @@ class TestMalformedInputExitCodes:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "error:" in err and "Traceback" not in err
+
+
+FUZZ_VALUES = (-1, 0, 1, 2, 3, 2**63, 10**400, 1.5, -0.5, "x", None, True,
+               [], {}, float("nan"), float("inf"), [0])
+# a huge count in these fields is valid and asks for hours of real work, so
+# they draw only values <= 3 and the non-numeric ones; nor is a field that
+# holds one deleted or emptied, which would bring back a large default
+LOOP_COUNTS = {"epochs", "eval_draws", "mc_draws", "m_tuples", "m_cap", "n",
+               "lo", "hi", "ref_mult", "n_disjoint", "m_grid"}
+SMALL_VALUES = tuple(v for v in FUZZ_VALUES
+                     if not isinstance(v, (int, float)) or isinstance(v, bool)
+                     or v <= 3)
+FUZZ_TRAIN = {"family": "linear", "out_dim": 2, "epochs": 1, "batch_size": 8,
+              "lr": 0.1, "eval_draws": 3, "m_tuples": 3}
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Tiny valid configs, one per subcommand variant, by name."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    prefix = str(tmp / "ck")
+    save_checkpoint(LinearModel(0.4 * np.eye(3, 4), max_col_sum=8.0,
+                                max_spectral=2.0), prefix)
+    img, lab = write_idx_pair(tmp, labels=[0, 1, 2] * 4)
+    ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+          "n": 12}
+    bases = {f"sample-{r}": ("sample", {"dataset": ds, "k": 1, "regime": r,
+                                        "m_tuples": 3, "seed": 1})
+             for r in ("iid_disjoint", "subsampled", "all_tuples")}
+    for est in ("subsampled", "ustat_exact", "ustat_mc", "vstat_exact",
+                "vstat_mc", "population_mc", "enumeration_mean"):
+        bases[f"estimate-{est}"] = ("estimate", {
+            "dataset": ds, "k": 1, "estimator": est, "checkpoint": prefix,
+            "m_tuples": 3, "mc_draws": 3, "seed": 1})
+    bases["bounds-basic"] = ("bounds", BOUNDS_CFG)
+    bases["bounds-sweep"] = ("bounds", {
+        **BOUNDS_CFG, "theorem": "subsampled_linear", "m_tuples": 50,
+        "family_params": TestFamilyParams.LINEAR["family_params"],
+        "sweep": {"n": [50, 100], "k": [1, 2]}})
+    bases["regimes"] = (["experiment", "regimes"], {
+        "dataset": {**ds, "n": 24}, "n_disjoint": 2, "k": 1, "m_grid": [3],
+        "seeds": [0], "train": FUZZ_TRAIN, "seed": 0})
+    bases["complexity"] = (["experiment", "complexity"], {
+        "dataset": ds, "k": 1, "eps": 100.0, "lo": 8, "hi": 16, "seeds": [0],
+        "search_tol": 8, "ref_mult": 1, "m_cap": 3, "train": FUZZ_TRAIN,
+        "seed": 0})
+    bases["train-linear"] = ("train", {"dataset": ds, "k": 1,
+                                       "train": FUZZ_TRAIN, "seed": 2})
+    bases["train-mlp"] = ("train", {
+        "dataset": {"type": "idx", "images": img, "labels": lab}, "k": 1,
+        "holdout_fraction": 0.25, "with_probe": True, "seed": 2,
+        "train": {**FUZZ_TRAIN, "family": "mlp", "hidden": [3]}})
+    return bases
+
+
+def _paths(node, path=()):
+    """Every (path, field name) below node; a list item takes its list's name."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        name = key if isinstance(key, str) else path[-1][1]
+        yield path + ((key, name),)
+        yield from _paths(child, path + ((key, name),))
+
+
+@st.composite
+def _mutated(draw, bases):
+    """A base config with one or two fields replaced or deleted."""
+    name = draw(st.sampled_from(sorted(bases)))
+    sub, cfg = bases[name]
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = cfg
+        for key, _field in path[:-1]:
+            parent = parent[key]
+        key, field = path[-1]
+        holds_count = not LOOP_COUNTS.isdisjoint(
+            [field] + [p[-1][1] for p in _paths(parent[key], path)])
+        values = SMALL_VALUES if field in LOOP_COUNTS else FUZZ_VALUES
+        if not holds_count and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(
+                [v for v in values if not holds_count or v != {}])))
+    return name, sub, cfg
+
+
+def _run_quietly(sub, cfg):
+    """Exit code and stderr of one in-process run in a scratch directory."""
+    argv = list(sub) if isinstance(sub, list) else [sub]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(path), "--out",
+                                str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+class TestWholeConfigFuzz:
+    def test_bases_succeed(self, fuzz_bases):
+        for name, (sub, cfg) in fuzz_bases.items():
+            code, err = _run_quietly(sub, cfg)
+            assert code == 0, (name, err)
+
+    @settings(max_examples=800, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mutated_config_keeps_exit_contract(self, fuzz_bases, data):
+        name, sub, cfg = data.draw(_mutated(fuzz_bases))
+        code, err = _run_quietly(sub, cfg)
+        assert code in (0, 2, 3, 4), (name, err)
+        assert "Traceback" not in err
 
 
 class TestExperiments:
