@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import hashlib
 import itertools
 import json
@@ -45,7 +46,6 @@ CSV_SCHEMAS = {
     "complexity": "complexity-v1",
 }
 
-CACHE_ENV = "USCRL_CACHE_DIR"
 INT64 = 2**63  # config integers and seeds must lie in [-INT64, INT64)
 
 
@@ -54,12 +54,21 @@ def _schema():
         return json.load(f)
 
 
+@functools.cache  # making the class takes about 1 ms, once per process
+def _strict_validator():
+    from jsonschema import Draft202012Validator as base, validators
+
+    # an integral float such as 2.0 is not an integer: numpy and range()
+    # reject it where the config asks for a count
+    return validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int))
+
+
 def _validate_config(cfg: dict, section: str) -> None:
     import jsonschema
 
-    schema = _schema()
-    ref = {"$ref": f"#/$defs/{section}", "$defs": schema["$defs"]}
-    validator = jsonschema.Draft202012Validator(ref)
+    ref = {"$ref": f"#/$defs/{section}", "$defs": _schema()["$defs"]}
+    validator = _strict_validator()(ref)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)
@@ -99,36 +108,13 @@ def _gaussian_spec(ds_cfg: dict) -> GaussianSpec:
                                **_given(ds_cfg, "dim", "sigma", "priors"))
 
 
-def _cache_key(ds_cfg: dict, seed: int) -> str:
-    return _config_hash({"dataset": ds_cfg, "seed": seed})[:24]
-
-
 def _load_pool(ds_cfg: dict, seed: int) -> LabeledDataset:
     if ds_cfg["type"] == "idx":
         return load_idx(ds_cfg["images"], ds_cfg["labels"],
                         num_classes=ds_cfg.get("num_classes"))
     if "n" not in ds_cfg:
         raise ConfigError("config field dataset.n: required to draw a pool")
-    spec = _gaussian_spec(ds_cfg)
-    cache_dir = os.environ.get(CACHE_ENV)
-    path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"pool_{_cache_key(ds_cfg, seed)}.npz")
-        if os.path.exists(path):
-            with np.load(path) as blob:
-                return LabeledDataset(blob["x"], blob["y"],
-                                      int(blob["num_classes"]))
-    ds = generate_gaussian(spec, ds_cfg["n"], seed=seed)
-    if path:
-        _save_pool(path, ds)
-    return ds
-
-
-def _save_pool(path: str, ds: LabeledDataset) -> None:
-    """Written by rename, so a concurrent run never reads a partial file."""
-    with atomic_write(path, "wb") as f:
-        np.savez(f, x=ds.x, y=ds.y, num_classes=ds.num_classes)
+    return generate_gaussian(_gaussian_spec(ds_cfg), ds_cfg["n"], seed=seed)
 
 
 def _train_config(cfg: dict, k: int, seed: int) -> TrainConfig:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,15 +74,14 @@ class LabeledDataset:
     """Fixed pool of N labeled samples, stored as dense arrays.
 
     ``x`` is (N, dim) float64, ``y`` is (N,) integer labels in
-    [0, num_classes). Per-class index lists are cached on first use and
-    always sorted ascending, so every positional convention downstream
+    [0, num_classes). Per-class index lists are computed per call, not
+    cached, and sorted ascending, so every positional convention downstream
     (tuple enumeration order, permutation semantics) is deterministic.
     """
 
     x: np.ndarray
     y: np.ndarray
     num_classes: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -113,17 +112,11 @@ class LabeledDataset:
 
     def class_indices(self, c: int) -> np.ndarray:
         """Sorted indices of the samples labeled c."""
-        key = ("in", c)
-        if key not in self._cache:
-            self._cache[key] = np.flatnonzero(self.y == c)
-        return self._cache[key]
+        return np.flatnonzero(self.y == c)
 
     def out_indices(self, c: int) -> np.ndarray:
         """Sorted indices of the samples NOT labeled c."""
-        key = ("out", c)
-        if key not in self._cache:
-            self._cache[key] = np.flatnonzero(self.y != c)
-        return self._cache[key]
+        return np.flatnonzero(self.y != c)
 
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.num_classes)

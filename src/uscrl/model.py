@@ -23,7 +23,7 @@ import os
 import struct
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

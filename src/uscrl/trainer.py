@@ -24,8 +24,8 @@ import numpy as np
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
 from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
-from .model import (LinearModel, MlpModel, fit_probe, make_linear, make_mlp,
-                    project, tuple_batch_backward)
+from .model import (fit_probe, make_linear, make_mlp, project,
+                    tuple_batch_backward)
 from .risk import MonteCarlo, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
@@ -192,15 +192,11 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"training loss diverged at step {n_steps} (epoch {epoch})")
-            ws = model.weights
-            if cfg.momentum > 0:
-                for v, g in zip(velocity, grads):
-                    v *= cfg.momentum
-                    v += g
-                new_ws = [w - cfg.lr * v for w, v in zip(ws, velocity)]
-            else:
-                new_ws = [w - cfg.lr * g for w, g in zip(ws, grads)]
-            model.set_weights(new_ws)
+            for v, g in zip(velocity, grads):
+                v *= cfg.momentum
+                v += g
+            model.set_weights([w - cfg.lr * v
+                               for w, v in zip(model.weights, velocity)])
             project(model)
             loss_sum += batch_loss * idx.size
             n_steps += 1

@@ -7,8 +7,8 @@ regimes produce tuple sets:
 
 * ``iid_disjoint``: greedy pass over per-class permutations, yielding
   N_c = min(floor(N_c+/2), floor(N_c-/k)) pairwise disjoint tuples per
-  class; distinct tuples share no sample, so they are independent draws
-  when the pool is i.i.d.
+  class, independent draws when the pool is i.i.d.; tuples of different
+  classes may share samples (one's anchors are another's negatives).
 * ``subsampled``: M independent draws from the natural tuple measure,
   which picks a feasible class with probability proportional to N_c+ and
   then a uniform ordered anchor/positive pair and uniform negative

@@ -21,7 +21,8 @@ from uscrl.risk import (Exact, MonteCarlo, decoupled_block_estimate,
                         ustat_conditional, ustat_overall, vstat_overall)
 from uscrl.bounds import BoundInputs, effective_n, evaluate_theorem
 from uscrl.trainer import TrainConfig, compare_regimes, sample_complexity_search
-from uscrl.tuples import enumerate_all_tuples, subsample_tuples, tuple_mass
+from uscrl.tuples import (block_tuples, enumerate_all_tuples,
+                          subsample_tuples, tuple_mass)
 from uscrl.model import tuple_batch_backward
 
 from conftest import make_pool, rand_linear, rand_mlp
@@ -64,6 +65,43 @@ def test_decoupled_block_average_recovers_exact_ustat():
     _verdict("decoupled-block-average", worst < 1e-10,
              f"worst relative gap {worst:.2e} over {instances} instances "
              f"(tolerance 1e-10)")
+
+
+# ---------------------------------------------------------------------------
+# the U-statistic, the average of the block estimates over all permutation
+# pairs, varies no more than one block estimate (Hoeffding 1963, section 5),
+# and one block estimate is a mean of N_c i.i.d. tuple losses, so its
+# variance is sigma_k^2 / N_c on both sides of the N_c branch crossover
+# k = 2(|C| - 1) (budget: under 10 s)
+
+def test_ustat_variance_at_most_block_variance():
+    sizes, reps = [12, 12], 400
+    model = rand_linear(4, 3, seed=7)
+    ident = np.arange(sizes[0]), np.arange(sizes[1])
+    worst_ratio, worst_scale, lines = 0.0, 0.0, []
+    for k in (1, 2, 3):  # crossover at k = 2 for two balanced classes
+        spec = LossSpec(clip=default_clip(k))
+        n_c = min(sizes[0] // 2, sizes[1] // k)
+        ustats, blocks, tuple_vars = [], [], []
+        for r in range(reps):
+            ds = make_pool(sizes, dim=4, seed=60000 + r)
+            ustats.append(ustat_conditional(model, ds, 0, k, spec).value)
+            blocks.append(decoupled_block_estimate(model, ds, 0, k, spec,
+                                                   *ident).value)
+            losses = tuple_losses(model, ds, *block_tuples(
+                ds.class_indices(0), ds.out_indices(0), k, *ident), spec)
+            tuple_vars.append(np.var(losses, ddof=1))
+        var_u, var_b = np.var(ustats, ddof=1), np.var(blocks, ddof=1)
+        scale = n_c * var_b / np.mean(tuple_vars)  # 1 if var_b = sigma^2/N_c
+        worst_ratio = max(worst_ratio, var_u / var_b)
+        worst_scale = max(worst_scale, abs(math.log(scale)))
+        lines.append(f"k={k} N_c={n_c}: var U/var block {var_u / var_b:.3f}, "
+                     f"N_c var block/sigma^2 {scale:.3f}")
+    ok = worst_ratio <= 1.0 and worst_scale <= math.log(1.4)
+    _verdict("ustat-variance-below-block", ok,
+             f"worst var ratio {worst_ratio:.3f} (limit 1), worst 1/N_c "
+             f"scaling factor {math.exp(worst_scale):.3f} (limit 1.4) over "
+             f"{reps} pools; " + "; ".join(lines))
 
 
 # ---------------------------------------------------------------------------

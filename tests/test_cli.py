@@ -220,46 +220,6 @@ class TestSample:
         assert ((out_a / "tuples.jsonl").read_bytes()
                 == (out_b / "tuples.jsonl").read_bytes())
 
-    def test_pool_cache_reuse(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("USCRL_CACHE_DIR", str(cache))
-        cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples", "seed": TOY_SEED}
-        code, out_a = run(tmp_path, "sample", cfg, out_name="a")
-        assert code == 0
-        pools = list(cache.glob("pool_*.npz"))
-        assert len(pools) == 1
-        code, out_b = run(tmp_path, "sample", cfg, out_name="b")
-        assert code == 0
-        assert len(list(cache.glob("pool_*.npz"))) == 1
-        assert ((out_a / "tuples.jsonl").read_bytes()
-                == (out_b / "tuples.jsonl").read_bytes())
-
-    def test_pool_cache_round_trip_leaves_no_temp_file(self, tmp_path,
-                                                       monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("USCRL_CACHE_DIR", str(cache))
-        drawn = cli._load_pool(TOY_DS, TOY_SEED)
-        assert [p.suffix for p in cache.iterdir()] == [".npz"]
-        loaded = cli._load_pool(TOY_DS, TOY_SEED)
-        np.testing.assert_array_equal(loaded.x, drawn.x)
-        np.testing.assert_array_equal(loaded.y, drawn.y)
-        assert loaded.num_classes == drawn.num_classes
-        assert [p.suffix for p in cache.iterdir()] == [".npz"]
-
-    def test_failed_pool_cache_write_leaves_no_file(self, tmp_path,
-                                                    monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("USCRL_CACHE_DIR", str(cache))
-
-        def broken_savez(f, **arrays):
-            f.write(b"PK partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli.np, "savez", broken_savez)
-        with pytest.raises(OSError):
-            cli._load_pool(TOY_DS, TOY_SEED)
-        assert list(cache.iterdir()) == []
-
     @pytest.mark.parametrize("field", ["seed", "centers_seed"])
     def test_negative_config_seed_is_a_config_error(self, tmp_path, capsys,
                                                     field):
@@ -661,6 +621,9 @@ class TestMalformedInputExitCodes:
                            "seed": 2**63}),
         _config("train", {"dataset": TOY_DS, "k": 1,
                           "train": {"lr": HUGE}}),
+        _config("sample", {"dataset": TOY_DS, "k": 2.0,
+                           "regime": "all_tuples"}),
+        _config("bounds", {**BOUNDS_CFG, "n": 1000.0}),
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -669,7 +632,8 @@ class TestMalformedInputExitCodes:
             "bounds-m-tuples-over-int64", "bounds-loss-bound-over-int64",
             "bounds-class-k-over-int64", "iid-k-over-int64",
             "sigma-over-int64", "centers-seed-over-int64",
-            "seed-over-int64", "lr-over-int64"])
+            "seed-over-int64", "lr-over-int64", "k-integral-float",
+            "bounds-n-integral-float"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -681,8 +645,8 @@ class TestMalformedInputExitCodes:
         assert "error:" in err and "Traceback" not in err
 
 
-FUZZ_VALUES = (-1, 0, 1, 2, 3, 2**63, 10**400, 1.5, -0.5, "x", None, True,
-               [], {}, float("nan"), float("inf"), [0])
+FUZZ_VALUES = (-1, 0, 1, 2, 3, 2**63, 10**400, 2.0, 1.5, -0.5, "x", None,
+               True, [], {}, float("nan"), float("inf"), [0])
 # a huge count in these fields is valid and asks for hours of real work, so
 # they draw only values <= 3 and the non-numeric ones; nor is a field that
 # holds one deleted or emptied, which would bring back a large default

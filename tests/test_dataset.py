@@ -52,8 +52,9 @@ class TestLabeledDataset:
             np.testing.assert_array_equal(merged, np.arange(ds.n))
             assert np.all(ds.y[inside] == c)
             assert np.all(ds.y[outside] != c)
-        # cached arrays are reused, not recomputed
-        assert ds.class_indices(0) is ds.class_indices(0)
+        # each call returns a fresh array, so a caller's edit cannot leak
+        ds.class_indices(0)[:] = -1
+        assert np.all(ds.y[ds.class_indices(0)] == 0)
 
     def test_class_sizes_and_len(self):
         ds = make_pool([3, 4, 2])

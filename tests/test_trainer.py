@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from uscrl.dataset import GaussianSpec, generate_gaussian, train_holdout_split
 from uscrl.errors import ConfigError, NumericError, PreconditionError
 from uscrl.loss import default_clip
 from uscrl import trainer
-from uscrl.model import spectral_norm
+from uscrl.model import project, spectral_norm, tuple_batch_backward
 from uscrl.trainer import (TrainConfig, compare_regimes,
                            sample_complexity_search, train)
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
@@ -113,6 +114,36 @@ class TestTrain:
         empty = subsample_tuples(ds, 2, 0, seed=16)
         with pytest.raises(PreconditionError):
             train(ds, small_cfg(), tuples=empty)
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_momentum_is_heavy_ball_then_project(self, family):
+        """v <- mu v + g, then w <- project(w - lr v), on train()'s batches."""
+        ds = make_pool([6, 6, 6], dim=5, seed=18)
+        ts = subsample_tuples(ds, 2, 40, seed=19)
+        cfg = small_cfg(family=family, hidden=(5,), momentum=0.5, epochs=3,
+                        batch_size=16)
+        report = train(ds, cfg, tuples=ts)
+
+        model = trainer._build_model(cfg, ds.dim)
+        rng = np.random.default_rng(trainer._child_seed(cfg.seed, 0))
+        velocity = [np.zeros_like(w) for w in model.weights]
+        for _ in range(cfg.epochs):
+            order = rng.permutation(ts.m_count)
+            for lo in range(0, ts.m_count, cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
+                grads, _ = tuple_batch_backward(
+                    model, ds, ts.anchors[idx], ts.positives[idx],
+                    ts.negatives[idx], cfg.loss_spec())
+                velocity = [0.5 * v + g for v, g in zip(velocity, grads)]
+                model.set_weights([w - cfg.lr * v
+                                   for w, v in zip(model.weights, velocity)])
+                project(model)
+        assert ([w.tobytes() for w in report.model.weights]
+                == [w.tobytes() for w in model.weights])
+
+        plain = train(ds, replace(cfg, momentum=0.0), tuples=ts)
+        assert ([w.tobytes() for w in plain.model.weights]
+                != [w.tobytes() for w in model.weights])
 
     def test_step_accounting(self):
         ds = make_pool([10, 10], dim=4, seed=17)
