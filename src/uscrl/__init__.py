@@ -12,9 +12,9 @@ from .dataset import GaussianSpec, LabeledDataset, generate_gaussian, load_idx
 from .errors import (ConfigError, FormatError, NumericError,
                      PreconditionError, SizeError, UscrlError)
 from .loss import LossSpec, default_clip, loss_grad, loss_value
-from .model import (LinearModel, LinearProbe, MlpModel, fit_probe,
-                    load_checkpoint, make_linear, make_mlp, project,
-                    save_checkpoint, spectral_norm)
+from .model import (LinearModel, MlpModel, load_checkpoint, make_linear,
+                    make_mlp, mean_classifier, project, save_checkpoint,
+                    spectral_norm)
 from .risk import (Exact, MonteCarlo, RiskEstimate, decoupled_block_estimate,
                    population_risk_mc, subsampled_risk, ustat_conditional,
                    ustat_overall, vstat_overall)

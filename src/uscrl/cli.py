@@ -19,6 +19,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -29,7 +30,7 @@ from . import __version__
 from .bounds import BoundInputs, evaluate_theorem
 from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
                       load_idx, train_holdout_split)
-from .errors import ConfigError, PreconditionError, UscrlError
+from .errors import ConfigError, NumericError, PreconditionError, UscrlError
 from .fileio import atomic_write
 from .loss import LossSpec, tuple_losses
 from .model import load_checkpoint, save_checkpoint
@@ -84,7 +85,8 @@ def _config_hash(cfg: dict) -> str:
 def _read_config(path: str) -> dict:
     with open(path) as f:
         try:
-            return json.load(f, parse_int=_int64)
+            return json.load(f, parse_int=_int64, parse_float=_finite,
+                             parse_constant=_finite)
         except (ValueError, RecursionError) as e:  # long ints, deep nesting
             raise ConfigError(f"config is not valid JSON: {e}") from e
 
@@ -94,6 +96,15 @@ def _int64(text: str) -> int:
     if not -INT64 <= value < INT64:
         raise ConfigError(f"config integer {text:.30}{'...' * (len(text) > 30)}"
                           " is outside [-2**63, 2**63)")
+    return value
+
+
+def _finite(text: str) -> float:
+    # RFC 8259 has no NaN or Infinity, and a literal such as 1e400 would
+    # parse to one; the manifest echoes the config, so it must stay finite
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text:.30} is not a finite double")
     return value
 
 
@@ -145,13 +156,24 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
     return path
 
 
+def _check_finite(path: str, obj, field: str = "") -> None:
+    """NumericError naming the first NaN or infinity in nested dicts and lists."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericError(f"{path}: field {field} is not finite")
+    if isinstance(obj, (dict, list, tuple)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            _check_finite(path, value, f"{field}.{key}" if field else str(key))
+
+
 def _write_json(path: str, obj) -> None:
+    _check_finite(path, obj)
     with atomic_write(path) as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    _check_finite(path, [dict(zip(header, row)) for row in rows])
     with atomic_write(path, newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)

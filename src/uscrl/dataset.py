@@ -20,7 +20,8 @@ from .errors import ConfigError, FormatError
 class GaussianSpec:
     """Isotropic Gaussian mixture: one center per class, shared sigma.
 
-    ``priors`` must be strictly positive and sum to one; class c draws
+    ``sigma``, ``centers`` and ``priors`` must be finite; ``priors`` must be
+    strictly positive and sum to one; class c draws
     x = centers[c] + sigma * z with z standard normal.
     """
 
@@ -32,16 +33,19 @@ class GaussianSpec:
         centers = np.asarray(self.centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ConfigError("centers must be a (num_classes, dim) array")
+        if not np.isfinite(centers).all():
+            raise ConfigError("centers must be finite")
         object.__setattr__(self, "centers", centers)
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(
+                f"sigma must be positive and finite, got {self.sigma}")
         if self.priors is not None:
             p = np.asarray(self.priors, dtype=np.float64)
             if p.shape != (centers.shape[0],):
                 raise ConfigError(
                     f"priors has shape {p.shape}, expected ({centers.shape[0]},)")
-            if np.any(p <= 0):
-                raise ConfigError("priors must be strictly positive")
+            if not (np.isfinite(p).all() and (p > 0).all()):
+                raise ConfigError("priors must be strictly positive and finite")
             if abs(p.sum() - 1.0) > 1e-9:
                 raise ConfigError(f"priors sum to {p.sum()}, expected 1")
             object.__setattr__(self, "priors", p)

@@ -1,4 +1,4 @@
-"""Representation models with norm constraints, plus a linear probe.
+"""Representation models with norm constraints, plus the mean classifier.
 
 Two families share one forward/backward core:
 
@@ -36,12 +36,6 @@ CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
 
 ACTIVATION_XI = {"relu": 1.0, "identity": 1.0}
-
-# fit_probe's softmax-regression SGD
-PROBE_EPOCHS = 40
-PROBE_LR = 0.5
-PROBE_BATCH = 64
-PROBE_VAL_FRACTION = 0.2
 
 # tuple_batch_backward forwards the whole pool once a batch has this many
 # index entries per pool row; below it, only the rows the batch touches.
@@ -321,69 +315,28 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     return grads, float(losses.sum() / b)
 
 
-@dataclass
-class LinearProbe:
-    w: np.ndarray  # (num_classes, d)
-    b: np.ndarray  # (num_classes,)
-    degenerate: bool = False
+def mean_classifier(reps: np.ndarray, labels: np.ndarray, num_classes: int,
+                    queries: np.ndarray):
+    """Class means mu_c of ``reps`` and, per query q, argmax_c q . mu_c.
 
-    def predict(self, reps: np.ndarray) -> np.ndarray:
-        scores = reps @ self.w.T + self.b
-        return scores.argmax(axis=1)
-
-    def accuracy(self, reps: np.ndarray, labels: np.ndarray) -> float:
-        return float((self.predict(reps) == np.asarray(labels)).mean())
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def fit_probe(reps: np.ndarray, labels: np.ndarray, num_classes: int,
-              seed: int = 0):
-    """Softmax-regression probe on frozen representations, seeded SGD.
-
-    Returns (probe, held-out accuracy). A single-class input yields a
-    degenerate probe (constant prediction) and a warning; the reported
-    accuracy is then the majority-class rate on the held-out part.
+    Returns (means, predictions): the classifier through which Arora et al.
+    (2019) tie contrastive risk to downstream error, with no bias and ties
+    to the lowest class. A class with no sample keeps a zero row and is
+    never predicted; a single present class warns and is every prediction.
     """
 
     reps = np.asarray(reps, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = reps.shape[0]
-    if n < 2:
-        raise ConfigError("probe needs at least 2 samples")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(PROBE_VAL_FRACTION * n)))
-    val, train = perm[:n_val], perm[n_val:]
-    if train.size == 0:
-        train, val = val, val
-
-    w = np.zeros((num_classes, reps.shape[1]))
-    bias = np.zeros(num_classes)
-    present = np.flatnonzero(np.bincount(labels[train]))  # sorted labels
-    if present.size < 2:
-        warnings.warn("probe training labels contain a single class; "
-                      "returning a degenerate constant probe")
-        bias[present[0] if present.size else 0] = 1.0
-        probe = LinearProbe(w, bias, degenerate=True)
-        return probe, probe.accuracy(reps[val], labels[val])
-
-    onehot = np.eye(num_classes)
-    for _ in range(PROBE_EPOCHS):
-        order = rng.permutation(train.size)
-        for lo in range(0, train.size, PROBE_BATCH):
-            idx = train[order[lo:lo + PROBE_BATCH]]
-            xb, yb = reps[idx], labels[idx]
-            p = _softmax(xb @ w.T + bias)
-            g = (p - onehot[yb]) / idx.size
-            w -= PROBE_LR * (g.T @ xb)
-            bias -= PROBE_LR * g.sum(axis=0)
-    probe = LinearProbe(w, bias)
-    return probe, probe.accuracy(reps[val], labels[val])
+    if reps.shape[0] == 0:
+        raise ConfigError("mean classifier needs at least one labeled sample")
+    member = np.asarray(labels) == np.arange(num_classes)[:, None]
+    counts = member.sum(axis=1)
+    means = (member @ reps) / np.maximum(counts, 1)[:, None]
+    if np.count_nonzero(counts) == 1:
+        warnings.warn("mean classifier labels contain a single class; "
+                      "every prediction is that class")
+    scores = np.asarray(queries, dtype=np.float64) @ means.T
+    scores[:, counts == 0] = -np.inf
+    return means, scores.argmax(axis=1)
 
 
 def _model_meta(model) -> dict:

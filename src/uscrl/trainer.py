@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
 from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
-from .model import (fit_probe, make_linear, make_mlp, project,
+from .model import (make_linear, make_mlp, mean_classifier, project,
                     tuple_batch_backward)
 from .risk import MonteCarlo, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
@@ -130,17 +130,18 @@ def _evaluate(model, cfg: TrainConfig, spec: LossSpec,
 
 def _probe_accuracy(model, cfg: TrainConfig, ds: LabeledDataset,
                     eval_spec: GaussianSpec | None,
-                    holdout: LabeledDataset | None):
-    seed = _child_seed(cfg.seed, 4)
-    reps = model.forward(ds.x)
-    probe, acc = fit_probe(reps, ds.y, ds.num_classes, seed=seed)
+                    holdout: LabeledDataset | None) -> float:
+    """Accuracy of the mean classifier fitted on the pool's representations,
+    scored on fresh population draws, else on the holdout, else in-sample."""
+    test = ds
     if eval_spec is not None:
-        fresh = generate_gaussian(eval_spec, max(1000, 100 * eval_spec.num_classes),
-                                  seed=_child_seed(cfg.seed, 5))
-        return probe.accuracy(model.forward(fresh.x), fresh.y)
-    if holdout is not None:
-        return probe.accuracy(model.forward(holdout.x), holdout.y)
-    return acc
+        test = generate_gaussian(eval_spec, max(1000, 100 * eval_spec.num_classes),
+                                 seed=_child_seed(cfg.seed, 5))
+    elif holdout is not None:
+        test = holdout
+    _, pred = mean_classifier(model.forward(ds.x), ds.y, ds.num_classes,
+                              model.forward(test.x))
+    return float(np.mean(pred == test.y))
 
 
 def train(ds: LabeledDataset, cfg: TrainConfig,
@@ -155,7 +156,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     population draws when ``eval_spec`` is given, otherwise a Monte Carlo
     U-statistic on ``holdout`` when provided. It runs after every
     ``eval_every``-th epoch and always after the last one; each run adds
-    an eval point, except a last-epoch one with no risk to report. The
+    an eval point, except a last-epoch one with no risk to report;
+    ``with_probe`` adds the mean-classifier accuracy to each. The
     ``final_*`` fields are the last epoch's evaluation. Identical config
     and seed reproduce the exact same report apart from wall time.
     """

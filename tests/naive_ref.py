@@ -270,3 +270,29 @@ def naive_mc_vstat(reps, y, num_classes, k, spec, num_draws, seed, chunk):
         total += w * (s / num_draws)
         var += (w * _std_error(s, sq, num_draws)) ** 2
     return total, math.sqrt(var)
+
+
+def naive_mean_classifier(reps, labels, num_classes, queries):
+    """Class means from per-sample running sums, then for each query the
+    first class with the largest dot product among the classes that have a
+    sample. Returns (means as lists, predictions)."""
+    d = len(reps[0])
+    sums = [[0.0] * d for _ in range(num_classes)]
+    counts = [0] * num_classes
+    for row, c in zip(reps, labels):
+        counts[int(c)] += 1
+        for j in range(d):
+            sums[int(c)][j] += float(row[j])
+    means = [[s / max(counts[c], 1) for s in sums[c]]
+             for c in range(num_classes)]
+    preds = []
+    for q in queries:
+        best, best_score = None, -math.inf
+        for c in range(num_classes):
+            if counts[c] == 0:
+                continue
+            score = sum(float(q[j]) * means[c][j] for j in range(d))
+            if best is None or score > best_score:
+                best, best_score = c, score
+        preds.append(best)
+    return means, preds

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from uscrl import cli
 from uscrl.cli import main
 from uscrl.dataset import GaussianSpec, generate_gaussian
+from uscrl.errors import NumericError
 from uscrl.fileio import atomic_write
 from uscrl.model import LinearModel, load_checkpoint, save_checkpoint
 from uscrl.tuples import count_all_tuples
@@ -291,6 +292,29 @@ class TestAtomicWrite:
                                                          "manifest.json"]
 
 
+class TestFiniteOutputs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_estimate_exits_4_naming_the_field(self, tmp_path,
+                                                         capsys):
+        # sigma 1e300 is finite, but the scores of its samples overflow
+        prefix = str(tmp_path / "ck")
+        save_checkpoint(LinearModel(0.4 * np.eye(3, 4), max_col_sum=8.0,
+                                    max_spectral=2.0), prefix)
+        code, out = run(tmp_path, "estimate", {
+            "dataset": {**TOY_DS, "sigma": 1e300}, "k": 1,
+            "estimator": "ustat_exact", "checkpoint": prefix})
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "estimate.json: field value is not finite" in err
+        assert not (out / "estimate.json").exists()
+
+    def test_csv_writer_names_the_row_and_column(self, tmp_path):
+        path = str(tmp_path / "rows.csv")
+        with pytest.raises(NumericError, match=r"rows\.csv: field 1\.b "):
+            cli._write_csv(path, ["a", "b"], [[1, 0.5], [2, float("-inf")]])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEstimate:
     def _checkpoint(self, tmp_path, dim=4, out_dim=3, zero=False, seed=2):
         if zero:
@@ -549,6 +573,13 @@ def _huge_int_config(tmp_path):
     return "sample", cfg.replace('"k": 0', '"k": ' + "1" * 5001)
 
 
+def _overflowing_float_config(tmp_path):
+    """A sample config whose sigma literal 1e400 overflows a double."""
+    cfg = json.dumps({"dataset": {**TOY_DS, "sigma": 0.0}, "k": 1,
+                      "regime": "all_tuples"})
+    return "sample", cfg.replace('"sigma": 0.0', '"sigma": 1e400')
+
+
 def _checkpoint_meta_config(**updates):
     def build(tmp_path):
         prefix = str(tmp_path / "ck")
@@ -624,6 +655,11 @@ class TestMalformedInputExitCodes:
         _config("sample", {"dataset": TOY_DS, "k": 2.0,
                            "regime": "all_tuples"}),
         _config("bounds", {**BOUNDS_CFG, "n": 1000.0}),
+        _config("sample", {"dataset": {**TOY_DS, "priors": [math.nan, 0.5, 0.5]},
+                           "k": 1, "regime": "all_tuples"}),
+        _config("sample", {"dataset": {**TOY_DS, "sigma": math.inf}, "k": 1,
+                           "regime": "all_tuples"}),
+        _overflowing_float_config,
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -633,7 +669,8 @@ class TestMalformedInputExitCodes:
             "bounds-class-k-over-int64", "iid-k-over-int64",
             "sigma-over-int64", "centers-seed-over-int64",
             "seed-over-int64", "lr-over-int64", "k-integral-float",
-            "bounds-n-integral-float"])
+            "bounds-n-integral-float", "priors-nan-token",
+            "sigma-infinity-token", "sigma-literal-overflows-double"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -668,7 +705,7 @@ def fuzz_bases(tmp_path_factory):
                                 max_spectral=2.0), prefix)
     img, lab = write_idx_pair(tmp, labels=[0, 1, 2] * 4)
     ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
-          "n": 12}
+          "priors": [0.25, 0.25, 0.5], "n": 12}
     bases = {f"sample-{r}": ("sample", {"dataset": ds, "k": 1, "regime": r,
                                         "m_tuples": 3, "seed": 1})
              for r in ("iid_disjoint", "subsampled", "all_tuples")}
@@ -734,8 +771,28 @@ def _mutated(draw, bases):
     return name, sub, cfg
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def _parse_strictly(out):
+    """Parse every JSON, JSON-lines and CSV file a run wrote, failing on a
+    NaN or infinity in any of them."""
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_no_constant)
+        elif path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=_no_constant)
+        elif path.suffix == ".csv":
+            with open(path, newline="") as f:
+                cells = {c for row in csv.reader(f) for c in row}
+            assert not {"nan", "inf", "-inf"} & cells, path.name
+
+
 def _run_quietly(sub, cfg):
-    """Exit code and stderr of one in-process run in a scratch directory."""
+    """Exit code and stderr of one in-process run in a scratch directory;
+    the outputs of a successful run must parse strictly."""
     argv = list(sub) if isinstance(sub, list) else [sub]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -745,6 +802,8 @@ def _run_quietly(sub, cfg):
                 contextlib.redirect_stderr(err):
             code = main(argv + ["--config", str(path), "--out",
                                 str(Path(tmp) / "out")])
+        if code == 0:
+            _parse_strictly(Path(tmp) / "out")
     return code, err.getvalue()
 
 

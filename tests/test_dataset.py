@@ -34,6 +34,12 @@ class TestGaussianSpec:
         {"centers": np.zeros((2, 2)), "priors": [0.5, 0.25]},
         {"centers": np.zeros((2, 2)), "priors": [1.5, -0.5]},
         {"centers": np.zeros((2, 2)), "priors": [0.2, 0.3, 0.5]},
+        {"centers": np.zeros((2, 2)), "sigma": np.inf},
+        {"centers": np.zeros((2, 2)), "sigma": np.nan},
+        {"centers": [[0.0, np.inf], [0.0, 0.0]]},
+        {"centers": [[0.0, np.nan], [0.0, 0.0]]},
+        {"centers": np.zeros((3, 2)), "priors": [np.nan, 0.5, 0.5]},
+        {"centers": np.zeros((2, 2)), "priors": [np.inf, 0.5]},
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ConfigError):

@@ -9,14 +9,14 @@ import pytest
 from uscrl import model as model_mod
 from uscrl.errors import ConfigError, FormatError, NumericError
 from uscrl.loss import LossSpec, loss_value, tuple_losses
-from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, LinearProbe,
-                         MlpModel, fit_probe, load_checkpoint, make_linear,
-                         make_mlp, project, save_checkpoint,
+from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, MlpModel,
+                         load_checkpoint, make_linear, make_mlp,
+                         mean_classifier, project, save_checkpoint,
                          spectral_norm, tuple_batch_backward)
 from uscrl.tuples import TupleSet, enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear, rand_mlp
-from naive_ref import naive_batch_grad
+from naive_ref import naive_batch_grad, naive_mean_classifier
 
 
 class TestSpectralNorm:
@@ -381,9 +381,14 @@ class TestBackward:
 
 
 class TestProbe:
+    """The mean classifier, the probe behind probe_accuracy."""
+
     def _blob_reps(self, seed=0, n_per=60, spread=0.1):
+        # equal-norm centers 120 degrees apart: with no bias, the mean
+        # classifier separates classes by direction
         rng = np.random.default_rng(seed)
-        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        angles = np.radians([0.0, 120.0, 240.0])
+        centers = 10.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         reps = np.concatenate([c + spread * rng.standard_normal((n_per, 2))
                                for c in centers])
         labels = np.repeat(np.arange(3), n_per)
@@ -391,44 +396,61 @@ class TestProbe:
 
     def test_separable_blobs_near_perfect(self):
         reps, labels = self._blob_reps()
-        probe, acc = fit_probe(reps, labels, 3, seed=1)
-        assert acc >= 0.99
-        assert probe.accuracy(reps, labels) >= 0.99
+        fresh, fresh_labels = self._blob_reps(seed=1)
+        _, pred = mean_classifier(reps, labels, 3, fresh)
+        assert np.mean(pred == fresh_labels) >= 0.99
 
     def test_chance_level_on_pure_noise(self):
         rng = np.random.default_rng(2)
         reps = rng.standard_normal((400, 3))
         labels = rng.integers(0, 4, size=400)
-        probe, acc = fit_probe(reps, labels, 4, seed=3)
-        assert acc < 0.55  # around 0.25 expected, never separable
+        _, pred = mean_classifier(reps, labels, 4,
+                                  rng.standard_normal((2000, 3)))
+        acc = np.mean(pred == rng.integers(0, 4, size=2000))
+        assert acc < 0.4  # around 0.25 expected, never separable
 
     def test_single_class_degenerates_with_warning(self):
         rng = np.random.default_rng(4)
         reps = rng.standard_normal((30, 2))
-        labels = np.full(30, 2)
         with pytest.warns(UserWarning, match="single class"):
-            probe, acc = fit_probe(reps, labels, 4, seed=5)
-        assert probe.degenerate
-        assert acc == 1.0  # every held-out label is the constant class
-        assert np.all(probe.predict(reps) == 2)
+            _, pred = mean_classifier(reps, np.full(30, 2), 4,
+                                      rng.standard_normal((50, 2)))
+        assert np.all(pred == 2)
 
-    def test_seeded(self):
-        reps, labels = self._blob_reps(seed=6)
-        p1, a1 = fit_probe(reps, labels, 3, seed=7)
-        p2, a2 = fit_probe(reps, labels, 3, seed=7)
-        np.testing.assert_array_equal(p1.w, p2.w)
-        assert a1 == a2
+    def test_absent_class_is_never_predicted(self):
+        # every query scores below the absent class's zero row
+        reps = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        queries = -np.abs(np.random.default_rng(5).standard_normal((40, 2)))
+        means, pred = mean_classifier(reps, [0, 0, 2], 3, queries)
+        np.testing.assert_array_equal(means[1], [0.0, 0.0])
+        assert set(pred) <= {0, 2}
 
-    def test_probe_predict_by_hand(self):
-        probe = LinearProbe(w=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                            b=np.array([0.0, 0.0]))
-        reps = np.array([[2.0, 1.0], [0.0, 3.0]])
-        np.testing.assert_array_equal(probe.predict(reps), [0, 1])
-        assert probe.accuracy(reps, [0, 0]) == 0.5
+    def test_tie_goes_to_lowest_class(self):
+        reps = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        _, pred = mean_classifier(reps, [1, 2, 3], 4,
+                                  [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0],
+                                   [0.0, 1.0]])
+        np.testing.assert_array_equal(pred, [1, 1, 1, 2])
 
-    def test_needs_two_samples(self):
+    @pytest.mark.parametrize("sizes,seed", [([5, 7, 3], 6), ([4, 0, 6, 2], 7),
+                                            ([9], 8), ([1, 1], 9)])
+    def test_matches_loop_oracle(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        reps = rng.standard_normal((labels.size, 5))
+        queries = rng.standard_normal((64, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the one-class case warns
+            means, pred = mean_classifier(reps, labels, len(sizes), queries)
+        want_means, want_pred = naive_mean_classifier(reps, labels,
+                                                      len(sizes), queries)
+        np.testing.assert_allclose(means, want_means, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pred, want_pred)
+
+    def test_needs_a_sample(self):
         with pytest.raises(ConfigError):
-            fit_probe(np.zeros((1, 2)), np.zeros(1, dtype=int), 2)
+            mean_classifier(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,
+                            np.zeros((1, 2)))
 
 
 class TestCheckpoints:

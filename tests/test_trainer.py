@@ -8,7 +8,8 @@ from uscrl.dataset import GaussianSpec, generate_gaussian, train_holdout_split
 from uscrl.errors import ConfigError, NumericError, PreconditionError
 from uscrl.loss import default_clip
 from uscrl import trainer
-from uscrl.model import project, spectral_norm, tuple_batch_backward
+from uscrl.model import (mean_classifier, project, spectral_norm,
+                         tuple_batch_backward)
 from uscrl.trainer import (TrainConfig, compare_regimes,
                            sample_complexity_search, train)
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
@@ -74,6 +75,12 @@ class TestTrain:
             np.testing.assert_array_equal(wa, wb)
         c = train(ds, small_cfg(seed=10), eval_spec=gspec)
         assert c.final_risk != a.final_risk
+        # the probe draws from its own seed: the rest of the report is the same
+        plain = train(ds, cfg, eval_spec=gspec).to_json()
+        plain.pop("wall_seconds")
+        for point in ja["eval_points"]:
+            point.pop("probe_accuracy")
+        assert plain == {**ja, "final_probe_accuracy": None}
 
     def test_training_reduces_population_risk(self):
         gspec = GaussianSpec.random(3, dim=8, sigma=0.15, seed=6)
@@ -180,7 +187,10 @@ class TestTrain:
         assert [(p["epoch"], p["risk"]) for p in report.eval_points] == [
             (2, None), (4, None)]
         assert report.final_risk is None
-        assert report.final_probe_accuracy is not None
+        # with no eval source the mean classifier is scored in-sample
+        reps = report.model.forward(tr.x)
+        _, pred = mean_classifier(reps, tr.y, tr.num_classes, reps)
+        assert report.final_probe_accuracy == np.mean(pred == tr.y)
 
     def test_no_eval_sources_means_no_risk(self):
         ds = make_pool([8, 8], dim=4, seed=21)
