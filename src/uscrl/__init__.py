@@ -22,6 +22,6 @@ from .bounds import (BoundInputs, BoundReport, chernoff_lambda, effective_n,
                      evaluate_theorem)
 from .trainer import (TrainConfig, TrainReport, compare_regimes,
                       sample_complexity_search, train)
-from .tuples import (Tuple, TupleSet, count_all_tuples, disjoint_tuples,
-                     enumerate_all_tuples, greedy_iid_tuples, regime_tuples,
-                     subsample_tuples, tuple_mass)
+from .tuples import (TupleSet, count_all_tuples, disjoint_tuples,
+                     enumerate_all_tuples, regime_tuples, subsample_tuples,
+                     tuple_mass)

@@ -360,6 +360,9 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
 
 
 def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
+    if cfg["dataset"]["type"] == "gaussian" and "holdout_fraction" in cfg:
+        raise ConfigError("config field holdout_fraction: a gaussian dataset "
+                          "is evaluated on its population, not a held-out split")
     k = cfg["k"]
     tcfg = _train_config(cfg, k, seed)
     ds = _load_pool(cfg["dataset"], seed)

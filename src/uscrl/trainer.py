@@ -254,17 +254,15 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
         if count_all_tuples(sub_pool, k)[0] <= cfg.cap:
             runs.append((REGIME_ALL, None))
         for regime, m in runs:
-            run_cfg = replace(base, regime=regime)
             if regime == REGIME_IID:
                 ds, ts = pool, chosen
             elif regime == REGIME_SUB:
                 ds, ts = sub_pool, subsample_tuples(
                     sub_pool, k, m, seed=_child_seed(seed, 12, m))
-                run_cfg = replace(run_cfg, m_tuples=m, resample_per_epoch=False)
             else:
                 ds, ts = sub_pool, enumerate_all_tuples(sub_pool, k,
                                                         cap=cfg.cap)
-            report = train(ds, run_cfg, eval_spec=eval_spec, tuples=ts,
+            report = train(ds, base, eval_spec=eval_spec, tuples=ts,
                            with_probe=True)
             rows.append({"regime": regime, "m_count": ts.m_count,
                          "seed": int(seed), "n_disjoint": n_disjoint, "k": k,

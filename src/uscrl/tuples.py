@@ -5,15 +5,18 @@ class, the k negatives are distinct samples from other classes. Negatives
 are an unordered k-subset and are always stored sorted by index. Three
 regimes produce tuple sets:
 
-* ``iid_disjoint``: greedy pass over per-class permutations, yielding
-  N_c = min(floor(N_c+/2), floor(N_c-/k)) pairwise disjoint tuples per
-  class, independent draws when the pool is i.i.d.; tuples of different
-  classes may share samples (one's anchors are another's negatives).
+* ``iid_disjoint``: globally disjoint tuples (``disjoint_tuples``): no
+  sample index appears twice anywhere in the set, so the tuples are
+  independent draws when the pool is i.i.d.; as many are drawn as the
+  pool supports.
 * ``subsampled``: M independent draws from the natural tuple measure,
   which picks a feasible class with probability proportional to N_c+ and
   then a uniform ordered anchor/positive pair and uniform negative
   k-subset within the class.
 * ``all_tuples``: the complete enumeration, guarded by a term cap.
+
+``block_tuples`` builds one class's N_c disjoint block tuples under a
+permutation pair; it serves the decoupled block estimate only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,13 +37,6 @@ REGIMES = (REGIME_IID, REGIME_SUB, REGIME_ALL)
 
 DEFAULT_CAP = 10**6
 JSONL_CHUNK = 4096  # rows per formatting pass in TupleSet.to_jsonl
-
-
-class Tuple(NamedTuple):
-    anchor: int
-    positive: int
-    negatives: tuple
-    class_id: int
 
 
 @dataclass(frozen=True)
@@ -73,18 +68,6 @@ class TupleSet:
     @property
     def m_count(self) -> int:
         return self.anchors.shape[0]
-
-    def __len__(self) -> int:
-        return self.m_count
-
-    def __iter__(self) -> Iterator[Tuple]:
-        for i in range(self.m_count):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> Tuple:
-        return Tuple(int(self.anchors[i]), int(self.positives[i]),
-                     tuple(int(v) for v in self.negatives[i]),
-                     int(self.class_ids[i]))
 
     def validate(self, ds: LabeledDataset) -> None:
         """Check every tuple invariant against the pool; raises on failure."""
@@ -141,7 +124,10 @@ def count_all_tuples(ds: LabeledDataset, k: int) -> tuple[int, list[int]]:
     return sum(per_class), per_class
 
 
-def _class_mass(ds: LabeledDataset, k: int, c: int) -> float:
+def tuple_mass(ds: LabeledDataset, k: int, c: int) -> float:
+    """Probability mass of one tuple of class c under the natural tuple
+    measure: (N_c+/N) / |T_c|. Summing over the whole enumeration gives
+    sum_c rho_hat(c) over feasible classes. Raises if c admits no tuple."""
     n_pos = int(ds.class_sizes()[c])
     cnt = class_tuple_count(n_pos, ds.n - n_pos, k)
     if cnt == 0:
@@ -149,27 +135,13 @@ def _class_mass(ds: LabeledDataset, k: int, c: int) -> float:
     return (n_pos / ds.n) / cnt
 
 
-def tuple_mass(ds: LabeledDataset, k: int, t: Tuple) -> float:
-    """Probability mass of one tuple under the natural tuple measure.
-
-    Equal to (N_c+/N) / |T_c| for the tuple's class. Summing over the
-    whole enumeration gives sum_c rho_hat(c) over feasible classes.
-    """
-
-    return _class_mass(ds, k, t.class_id)
-
-
 def tuple_masses(ds: LabeledDataset, k: int, class_ids) -> np.ndarray:
-    """tuple_mass for every tuple of a set, from its class id column.
-
-    The mass depends on the class alone, so a per-class table is indexed
-    by the column; a class that admits no tuple raises as in tuple_mass.
-    """
-
+    """tuple_mass of every tuple of a set, from a per-class table indexed
+    by its class id column."""
     class_ids = np.asarray(class_ids, dtype=np.int64)
     table = np.zeros(ds.num_classes)
     for c in np.unique(class_ids).tolist():
-        table[c] = _class_mass(ds, k, c)
+        table[c] = tuple_mass(ds, k, c)
     return table[class_ids]
 
 
@@ -198,72 +170,42 @@ def block_tuples(pos_idx: np.ndarray, neg_idx: np.ndarray, k: int, pi,
             np.sort(neg[:n_c * k].reshape(n_c, k), axis=1))
 
 
-def greedy_iid_tuples(ds: LabeledDataset, k: int,
-                      seed: int | None = None) -> TupleSet:
-    """Every class's block tuples, N_c per class.
-
-    With a seed the permutation pair of each feasible class is drawn
-    uniformly (in-class first); without one both are the identity.
-    """
-
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(seed) if seed is not None else None
-    anchors, positives, negs, cids = [], [], [], []
-    for c in range(ds.num_classes):
-        pos_idx, neg_idx = ds.class_indices(c), ds.out_indices(c)
-        n_pos, n_neg = len(pos_idx), len(neg_idx)
-        if min(n_pos // 2, n_neg // k) == 0:
-            continue
-        if rng is None:
-            pi, pibar = np.arange(n_pos), np.arange(n_neg)
-        else:
-            pi = rng.permutation(n_pos)
-            pibar = rng.permutation(n_neg)
-        a, p, ng = block_tuples(pos_idx, neg_idx, k, pi, pibar)
-        anchors.append(a)
-        positives.append(p)
-        negs.append(ng)
-        cids.append(np.full(a.shape[0], c, dtype=np.int64))
-    if not anchors:
-        return _empty_set(REGIME_IID, k)
-    return TupleSet(REGIME_IID, k,
-                    np.concatenate(anchors), np.concatenate(positives),
-                    np.concatenate(negs), np.concatenate(cids))
-
-
-def disjoint_tuples(ds: LabeledDataset, k: int, n: int, seed: int) -> TupleSet:
+def disjoint_tuples(ds: LabeledDataset, k: int, n: int | None,
+                    seed: int) -> TupleSet:
     """n valid tuples sharing no sample index, drawn seeded at random.
 
-    Unlike the per-class passes of greedy_iid_tuples, disjointness here is
-    global: every tuple consumes 2 fresh in-class and k fresh out-of-class
-    samples, so the set touches exactly n * (k + 2) distinct samples. Each
-    tuple's class is drawn proportionally to the remaining in-class count
-    among classes that can still afford a full tuple, and its samples are
-    uniform over the unused pool.
+    Disjointness is global: every tuple consumes 2 fresh in-class and k
+    fresh out-of-class samples, so the set touches exactly n * (k + 2)
+    distinct samples. Each tuple's class is drawn proportionally to the
+    remaining in-class count among classes that can still afford a full
+    tuple, and its samples are uniform over the unused pool. With n None
+    the draw stops at the first tuple no class can afford, so a given n
+    yields the first n rows of that draw (and raises if there are fewer).
     """
 
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if n < 0:
+    if n is not None and n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return _empty_set(REGIME_IID, k)
+    rows = ds.n // (k + 2) if n is None else n
     rng = np.random.default_rng(seed)
     # pre-shuffled per-class stacks make every pop a uniform unused sample
     stacks = [list(rng.permutation(ds.class_indices(c)))
               for c in range(ds.num_classes)]
     remaining = np.array([len(s) for s in stacks], dtype=np.int64)
-    anchors = np.empty(n, dtype=np.int64)
-    positives = np.empty(n, dtype=np.int64)
-    negatives = np.empty((n, k), dtype=np.int64)
-    cids = np.empty(n, dtype=np.int64)
-    for t in range(n):
+    anchors = np.empty(rows, dtype=np.int64)
+    positives = np.empty(rows, dtype=np.int64)
+    negatives = np.empty((rows, k), dtype=np.int64)
+    cids = np.empty(rows, dtype=np.int64)
+    for t in range(rows):
         total = int(remaining.sum())
         can = np.flatnonzero((remaining >= 2) & (total - remaining >= k))
         if can.size == 0:
-            raise PreconditionError(
-                f"pool supports only {t} disjoint tuples, need {n}")
+            if n is not None:
+                raise PreconditionError(
+                    f"pool supports only {t} disjoint tuples, need {n}")
+            rows = t
+            break
         c = int(rng.choice(can, p=remaining[can] / remaining[can].sum()))
         anchors[t] = stacks[c].pop()
         positives[t] = stacks[c].pop()
@@ -277,8 +219,8 @@ def disjoint_tuples(ds: LabeledDataset, k: int, n: int, seed: int) -> TupleSet:
             negatives[t, j] = stacks[z].pop()
             remaining[z] -= 1
         cids[t] = c
-    return TupleSet(REGIME_IID, k, anchors, positives,
-                    np.sort(negatives, axis=1), cids)
+    return TupleSet(REGIME_IID, k, anchors[:rows], positives[:rows],
+                    np.sort(negatives[:rows], axis=1), cids[:rows])
 
 
 def draw_ordered_pairs(rng: np.random.Generator, n: int, size: int):
@@ -415,12 +357,13 @@ def enumerate_all_tuples(ds: LabeledDataset, k: int,
 def regime_tuples(ds: LabeledDataset, k: int, regime: str, seed: int,
                   m_tuples: int | None = None,
                   cap: int = DEFAULT_CAP) -> TupleSet:
-    """The tuple set of one regime: m_tuples sub-sampled draws, the seeded
-    greedy disjoint passes, or the full enumeration under cap."""
+    """The tuple set of one regime: m_tuples sub-sampled draws, as many
+    globally disjoint tuples as the pool supports, or the full enumeration
+    under cap."""
     if regime == REGIME_SUB:
         return subsample_tuples(ds, k, m_tuples, seed=seed)
     if regime == REGIME_IID:
-        return greedy_iid_tuples(ds, k, seed=seed)
+        return disjoint_tuples(ds, k, None, seed)
     if regime == REGIME_ALL:
         return enumerate_all_tuples(ds, k, cap=cap)
     raise ConfigError(f"unknown regime {regime!r}")

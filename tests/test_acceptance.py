@@ -22,7 +22,7 @@ from uscrl.risk import (Exact, MonteCarlo, decoupled_block_estimate,
 from uscrl.bounds import BoundInputs, effective_n, evaluate_theorem
 from uscrl.trainer import TrainConfig, compare_regimes, sample_complexity_search
 from uscrl.tuples import (block_tuples, enumerate_all_tuples,
-                          subsample_tuples, tuple_mass)
+                          subsample_tuples, tuple_masses)
 from uscrl.model import tuple_batch_backward
 
 from conftest import make_pool, rand_linear, rand_mlp
@@ -118,7 +118,7 @@ def test_mass_weighted_enumeration_identity_and_subsample_mean():
     ts = enumerate_all_tuples(ds, k)
     losses = tuple_losses(model, ds, ts.anchors, ts.positives, ts.negatives,
                           spec)
-    masses = np.array([tuple_mass(ds, k, t) for t in ts])
+    masses = tuple_masses(ds, k, ts.class_ids)
     weighted = float(losses @ masses)
     rel = abs(exact - weighted) / abs(weighted)
 

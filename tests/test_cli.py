@@ -105,6 +105,20 @@ class TestSample:
                                       "regimes": "regimes-v1",
                                       "complexity": "complexity-v1"}
 
+    def test_iid_lines_are_globally_disjoint(self, tmp_path, capsys):
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,
+              "n": 40}
+        cfg = {"dataset": ds, "k": 2, "regime": "iid_disjoint", "seed": 1}
+        code, out = run(tmp_path, "sample", cfg)
+        assert code == 0
+        recs = [json.loads(line) for line in
+                (out / "tuples.jsonl").read_text().splitlines()]
+        used = [i for r in recs
+                for i in [r["anchor"], r["positive"], *r["negatives"]]]
+        assert len(set(used)) == len(used) == 4 * len(recs)
+        assert 0 < len(recs) <= 40 // 4
+        assert f"sampled {len(recs)} tuple(s)" in capsys.readouterr().out
+
     def test_subsampled_lines_parse(self, tmp_path):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,
               "n": 40}
@@ -660,6 +674,10 @@ class TestMalformedInputExitCodes:
         _config("sample", {"dataset": {**TOY_DS, "sigma": math.inf}, "k": 1,
                            "regime": "all_tuples"}),
         _overflowing_float_config,
+        _config("train", {"dataset": TOY_DS, "k": 1, "holdout_fraction": 0.25,
+                          "train": {"family": "linear", "out_dim": 2,
+                                    "epochs": 1, "m_tuples": 3,
+                                    "eval_draws": 3}}),
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -670,7 +688,8 @@ class TestMalformedInputExitCodes:
             "sigma-over-int64", "centers-seed-over-int64",
             "seed-over-int64", "lr-over-int64", "k-integral-float",
             "bounds-n-integral-float", "priors-nan-token",
-            "sigma-infinity-token", "sigma-literal-overflows-double"])
+            "sigma-infinity-token", "sigma-literal-overflows-double",
+            "gaussian-holdout-fraction"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"

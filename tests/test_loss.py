@@ -215,10 +215,9 @@ class TestScores:
         got = tuple_losses(toy_model, toy_pool, ts.anchors, ts.positives,
                            ts.negatives, spec)
         reps = toy_model.forward(toy_pool.x)
-        want = [naive_loss("logistic",
-                           naive_scores(reps, t.anchor, t.positive, t.negatives),
+        want = [naive_loss("logistic", naive_scores(reps, a, p, ng),
                            clip=spec.clip)
-                for t in ts]
+                for a, p, ng in zip(ts.anchors, ts.positives, ts.negatives)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -234,10 +233,9 @@ class TestScores:
         got = tuple_losses(model, ds, ts.anchors, ts.positives,
                            ts.negatives, spec)
         reps = model.forward(ds.x)
-        want = [naive_loss("hinge",
-                           naive_scores(reps, t.anchor, t.positive, t.negatives),
+        want = [naive_loss("hinge", naive_scores(reps, a, p, ng),
                            clip=2.0, margin=1.5)
-                for t in ts]
+                for a, p, ng in zip(ts.anchors, ts.positives, ts.negatives)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 

@@ -205,11 +205,11 @@ class TestSubsampledRisk:
             float(want.std(ddof=1)) / math.sqrt(200), rel=1e-10)
 
     def test_requires_subsampled_regime(self):
-        from uscrl.tuples import greedy_iid_tuples
+        from uscrl.tuples import disjoint_tuples
 
         ds = make_pool([4, 4], dim=3, seed=81)
         model = rand_linear(3, 2, seed=82)
-        ts = greedy_iid_tuples(ds, 1)
+        ts = disjoint_tuples(ds, 1, None, seed=0)
         with pytest.raises(ConfigError):
             subsampled_risk(model, ds, ts, SPEC)
 

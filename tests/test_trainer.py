@@ -201,7 +201,7 @@ class TestTrain:
 
     def test_iid_regime_needs_a_feasible_pool(self):
         ds = make_pool([1, 1], dim=3, seed=22)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="empty training tuple"):
             train(ds, small_cfg(regime=REGIME_IID, k=2))
 
     def test_all_tuples_regime_uses_full_enumeration(self):

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from uscrl import tuples as tuples_mod
 from uscrl.errors import ConfigError, PreconditionError, SizeError
-from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, Tuple, TupleSet,
+from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
                           block_tuples, class_tuple_chunks, class_tuple_count,
                           count_all_tuples, disjoint_tuples, draw_ksubsets,
                           draw_ordered_pairs, enumerate_all_tuples,
-                          greedy_iid_tuples, regime_tuples, subsample_tuples,
-                          tuple_mass, tuple_masses)
+                          regime_tuples, subsample_tuples, tuple_mass,
+                          tuple_masses)
 
 from conftest import make_pool
 from naive_ref import naive_enumeration
@@ -45,9 +45,12 @@ class TestCounts:
 class TestTupleSet:
     @staticmethod
     def _jsonl_per_row(ts):
-        lines = [json.dumps({"class": t.class_id, "anchor": t.anchor,
-                             "positive": t.positive,
-                             "negatives": list(t.negatives)}) for t in ts]
+        lines = [json.dumps({"class": c, "anchor": a, "positive": p,
+                             "negatives": ng})
+                 for c, a, p, ng in zip(ts.class_ids.tolist(),
+                                        ts.anchors.tolist(),
+                                        ts.positives.tolist(),
+                                        ts.negatives.tolist())]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -65,13 +68,6 @@ class TestTupleSet:
         ts = enumerate_all_tuples(make_pool([1, 1], seed=0), 1)
         assert ts.m_count == 0
         assert ts.to_jsonl() == self._jsonl_per_row(ts) == ""
-
-    def test_getitem_and_iter(self, toy_pool):
-        ts = greedy_iid_tuples(toy_pool, k=1)
-        first = ts[0]
-        assert isinstance(first, Tuple)
-        assert list(ts)[0] == first
-        assert len(ts) == ts.m_count
 
     def test_shape_validation(self):
         z = np.zeros(2, dtype=np.int64)
@@ -98,53 +94,6 @@ class TestTupleSet:
             dup.validate(toy_pool)
 
 
-class TestGreedy:
-    def test_identity_permutation_exact_layout(self):
-        # sizes 4, 3, 5: under identity permutations the construction is
-        # fully predictable
-        ds = make_pool([4, 3, 5], seed=0)
-        ts = greedy_iid_tuples(ds, k=2)
-        assert ts.regime == REGIME_IID
-        expected = [
-            # class 0: pos [0,1,2,3], out [4..11], N_c = min(2, 4) = 2
-            (0, 1, (4, 5), 0),
-            (2, 3, (6, 7), 0),
-            # class 1: pos [4,5,6], out [0,1,2,3,7,...], N_c = min(1, 4) = 1
-            (4, 5, (0, 1), 1),
-            # class 2: pos [7..11], out [0..6], N_c = min(2, 3) = 2
-            (7, 8, (0, 1), 2),
-            (9, 10, (2, 3), 2),
-        ]
-        assert [tuple(t) for t in ts] == expected
-        ts.validate(ds)
-
-    def test_seeded_draw_is_valid_and_disjoint_per_class(self):
-        ds = make_pool([9, 7, 6], seed=1)
-        ts = greedy_iid_tuples(ds, k=2, seed=42)
-        ts.validate(ds)
-        for c in range(3):
-            rows = np.flatnonzero(ts.class_ids == c)
-            used = np.concatenate([ts.anchors[rows], ts.positives[rows],
-                                   ts.negatives[rows].ravel()])
-            assert len(np.unique(used)) == used.size  # no sample reused
-
-    def test_counts_match_class_stats(self):
-        ds = make_pool([9, 7, 6], seed=1)
-        for k in (1, 2, 3):
-            ts = greedy_iid_tuples(ds, k, seed=3)
-            sizes = ds.class_sizes()
-            for c in range(3):
-                n_pos = int(sizes[c])
-                n_neg = ds.n - n_pos
-                expect = min(n_pos // 2, n_neg // k)
-                assert int((ts.class_ids == c).sum()) == expect
-
-    def test_infeasible_class_skipped(self):
-        ds = make_pool([1, 5], seed=0)
-        ts = greedy_iid_tuples(ds, k=1)
-        assert np.all(ts.class_ids == 1)
-
-
 class TestBlockTuples:
     def test_explicit_perms(self):
         ds = make_pool([4, 3, 5], seed=0)
@@ -155,17 +104,41 @@ class TestBlockTuples:
         np.testing.assert_array_equal(p, [2, 0])
         np.testing.assert_array_equal(ng, [[10, 11], [8, 9]])
 
-    def test_identity_perms_are_the_greedy_layout(self):
+    def test_identity_permutation_exact_layout(self):
+        # sizes 4, 3, 5: under identity permutations each class's N_c
+        # blocks are fully predictable
         ds = make_pool([4, 3, 5], seed=0)
-        ts = greedy_iid_tuples(ds, k=2)
-        for c in range(3):
+        expected = [
+            # class 0: pos [0,1,2,3], out [4..11], N_c = min(2, 4) = 2
+            [(0, 1, [4, 5]), (2, 3, [6, 7])],
+            # class 1: pos [4,5,6], out [0,1,2,3,7,...], N_c = min(1, 4) = 1
+            [(4, 5, [0, 1])],
+            # class 2: pos [7..11], out [0..6], N_c = min(2, 3) = 2
+            [(7, 8, [0, 1]), (9, 10, [2, 3])],
+        ]
+        for c, want in enumerate(expected):
             n_pos, n_neg = ds.class_sizes()[c], ds.n - ds.class_sizes()[c]
             a, p, ng = block_tuples(ds.class_indices(c), ds.out_indices(c), 2,
                                     np.arange(n_pos), np.arange(n_neg))
-            rows = ts.class_ids == c
-            np.testing.assert_array_equal(a, ts.anchors[rows])
-            np.testing.assert_array_equal(p, ts.positives[rows])
-            np.testing.assert_array_equal(ng, ts.negatives[rows])
+            assert list(zip(a.tolist(), p.tolist(), ng.tolist())) == want
+
+    def test_identity_perms_are_the_greedy_layout(self):
+        # the greedy walk in index order: pair up in-class samples two at a
+        # time and fill k-blocks of out-of-class samples while both last
+        for sizes, k in [([4, 3, 5], 2), ([9, 7, 6], 1), ([9, 7, 6], 3),
+                         ([1, 5], 1)]:
+            ds = make_pool(sizes, seed=1)
+            for c in range(len(sizes)):
+                pos, neg = ds.class_indices(c), ds.out_indices(c)
+                left_pos, left_neg = pos.tolist(), neg.tolist()
+                want = []
+                while len(left_pos) >= 2 and len(left_neg) >= k:
+                    want.append((left_pos.pop(0), left_pos.pop(0),
+                                 sorted(left_neg[:k])))
+                    del left_neg[:k]
+                a, p, ng = block_tuples(pos, neg, k, np.arange(len(pos)),
+                                        np.arange(len(neg)))
+                assert list(zip(a.tolist(), p.tolist(), ng.tolist())) == want
 
     def test_rejects_non_permutation(self):
         ds = make_pool([4, 4], seed=0)
@@ -182,7 +155,8 @@ class TestRegimeTuples:
         pairs = [
             (regime_tuples(ds, 2, REGIME_SUB, 7, m_tuples=30),
              subsample_tuples(ds, 2, 30, seed=7)),
-            (regime_tuples(ds, 2, REGIME_IID, 7), greedy_iid_tuples(ds, 2, seed=7)),
+            (regime_tuples(ds, 2, REGIME_IID, 7),
+             disjoint_tuples(ds, 2, None, seed=7)),
             (regime_tuples(ds, 2, REGIME_ALL, 7), enumerate_all_tuples(ds, 2)),
         ]
         for got, want in pairs:
@@ -243,6 +217,41 @@ class TestGloballyDisjoint:
         assert np.unique(used).size == 12
         with pytest.raises(PreconditionError):
             disjoint_tuples(ds, 2, 4, seed=49)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_given_n_is_a_prefix_of_the_maximal_draw(self, k):
+        # 22 samples: not a multiple of k + 2 for any k here
+        ds = make_pool([9, 7, 6], dim=3, seed=50)
+        for seed in (51, 52, 53):
+            full = disjoint_tuples(ds, k, None, seed=seed)
+            assert 0 < full.m_count <= ds.n // (k + 2)
+            for n in range(full.m_count + 1):
+                part = disjoint_tuples(ds, k, n, seed=seed)
+                for col in ("anchors", "positives", "negatives", "class_ids"):
+                    np.testing.assert_array_equal(getattr(part, col),
+                                                  getattr(full, col)[:n])
+            with pytest.raises(PreconditionError,
+                               match=f"supports only {full.m_count} "):
+                disjoint_tuples(ds, k, full.m_count + 1, seed=seed)
+
+    @pytest.mark.parametrize("sizes,k", [([9, 7, 6], 1), ([9, 7, 6], 3),
+                                         ([2, 11], 2), ([5, 1, 1, 4], 2)])
+    def test_maximal_draw_leaves_no_affordable_tuple(self, sizes, k):
+        ds = make_pool(sizes, dim=3, seed=54)
+        ts = disjoint_tuples(ds, k, None, seed=55)
+        ts.validate(ds)
+        used = np.concatenate([ts.anchors, ts.positives,
+                               ts.negatives.ravel()])
+        assert np.unique(used).size == used.size
+        unused = np.bincount(np.delete(ds.y, used), minlength=len(sizes))
+        assert not np.any((unused >= 2) & (unused.sum() - unused >= k))
+
+    def test_infeasible_pool_gives_an_empty_set(self):
+        # train() turns this empty set into a PreconditionError
+        ds = make_pool([1, 1], dim=3, seed=56)
+        ts = regime_tuples(ds, 1, REGIME_IID, 57)
+        assert ts.regime == REGIME_IID and ts.m_count == 0
+        assert ts.negatives.shape == (0, 1)
 
 
 class TestDrawHelpers:
@@ -402,27 +411,26 @@ class TestEnumeration:
 class TestTupleMass:
     def test_mass_sums_to_one_when_all_feasible(self, toy_pool):
         ts = enumerate_all_tuples(toy_pool, k=1)
-        total = sum(tuple_mass(toy_pool, 1, t) for t in ts)
+        total = sum(tuple_mass(toy_pool, 1, c) for c in ts.class_ids.tolist())
         assert abs(total - 1.0) < 1e-12
 
     def test_mass_sums_to_feasible_frequency(self):
         # class 0 has a single sample, so only classes 1 and 2 carry mass
         ds = make_pool([1, 3, 4], seed=11)
         ts = enumerate_all_tuples(ds, k=1)
-        total = sum(tuple_mass(ds, 1, t) for t in ts)
+        total = sum(tuple_mass(ds, 1, c) for c in ts.class_ids.tolist())
         assert abs(total - 7 / 8) < 1e-12
 
     def test_mass_value(self, toy_pool):
         ts = enumerate_all_tuples(toy_pool, k=1)
-        t = ts[0]
-        assert t.class_id == 0
-        assert tuple_mass(toy_pool, 1, t) == pytest.approx((3 / 8) / 30, abs=0)
+        assert ts.class_ids[0] == 0
+        assert tuple_mass(toy_pool, 1, 0) == pytest.approx((3 / 8) / 30, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_vector_masses_equal_the_loop(self, k):
         ds = make_pool([1, 4, 3, 5], seed=12)
         ts = enumerate_all_tuples(ds, k)
-        want = np.array([tuple_mass(ds, k, t) for t in ts])
+        want = np.array([tuple_mass(ds, k, c) for c in ts.class_ids.tolist()])
         got = tuple_masses(ds, k, ts.class_ids)
         assert got.tobytes() == want.tobytes()
 
@@ -433,9 +441,8 @@ class TestTupleMass:
 
     def test_infeasible_class_raises(self):
         ds = make_pool([1, 3], seed=0)
-        bad = Tuple(0, 0, (1,), 0)
         with pytest.raises(PreconditionError):
-            tuple_mass(ds, 1, bad)
+            tuple_mass(ds, 1, 0)
 
 
 @st.composite
@@ -454,14 +461,17 @@ class TestProperties:
         sizes, k = case
         ds = make_pool(sizes, dim=3, seed=123)
         feasible = any(class_tuple_count(s, ds.n - s, k) > 0 for s in sizes)
-        greedy = greedy_iid_tuples(ds, k, seed=1)
-        greedy.validate(ds)
+        iid = regime_tuples(ds, k, REGIME_IID, 1)
+        iid.validate(ds)
+        used = np.concatenate([iid.anchors, iid.positives,
+                               iid.negatives.ravel()])
+        assert np.unique(used).size == used.size  # disjoint across classes
+        assert (iid.m_count > 0) == feasible
         if feasible:
             sub = subsample_tuples(ds, k, 25, seed=2)
             sub.validate(ds)
             assert sub.m_count == 25
         else:
-            assert greedy.m_count == 0
             with pytest.raises(PreconditionError):
                 subsample_tuples(ds, k, 25, seed=2)
 
