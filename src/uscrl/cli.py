@@ -128,6 +128,16 @@ def _load_pool(ds_cfg: dict, seed: int) -> LabeledDataset:
     return generate_gaussian(_gaussian_spec(ds_cfg), ds_cfg["n"], seed=seed)
 
 
+def _tuple_pool(cfg: dict, seed: int) -> LabeledDataset:
+    """The config's pool, refusing a k above its size: no tuple has more
+    negatives than the pool has samples, and numpy may refuse even an
+    empty (0, k) index array for such a k."""
+    ds = _load_pool(cfg["dataset"], seed)
+    if cfg["k"] > ds.n:
+        raise PreconditionError(f"k={cfg['k']} exceeds the pool size {ds.n}")
+    return ds
+
+
 def _train_config(cfg: dict, k: int, seed: int) -> TrainConfig:
     over = dict(cfg.get("train", {}))
     if "hidden" in over:
@@ -194,7 +204,7 @@ def _now() -> str:
 
 
 def cmd_sample(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
-    ds = _load_pool(cfg["dataset"], seed)
+    ds = _tuple_pool(cfg, seed)
     k = cfg["k"]
     regime = cfg["regime"]
     if regime == REGIME_SUB and "m_tuples" not in cfg:
@@ -315,7 +325,7 @@ def _regimes_worker(args):
 
 def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
                            jobs: int) -> list[str]:
-    pool = _load_pool(cfg["dataset"], seed)
+    pool = _tuple_pool(cfg, seed)
     k = cfg["k"]
     tasks = [(pool, cfg, k, int(s)) for s in cfg["seeds"]]
     chunks = []
@@ -365,7 +375,7 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
                           "is evaluated on its population, not a held-out split")
     k = cfg["k"]
     tcfg = _train_config(cfg, k, seed)
-    ds = _load_pool(cfg["dataset"], seed)
+    ds = _tuple_pool(cfg, seed)
     eval_spec = holdout = None
     if cfg["dataset"]["type"] == "gaussian":
         eval_spec = _gaussian_spec(cfg["dataset"])

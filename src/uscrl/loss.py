@@ -115,8 +115,13 @@ def loss_grad(spec: LossSpec, v) -> np.ndarray:
 
 def _scores(ra: np.ndarray, rp: np.ndarray, rn: np.ndarray):
     """diff = rp - rn and the scores v = einsum(ra, diff), (batch, k), from
-    anchor and positive reps (batch, d) and negative reps (batch, k, d)."""
-    diff = rp[:, None, :] - rn
+    anchor and positive reps (batch, d) and negative reps (batch, k, d).
+
+    diff is one flat subtraction over batch*k rows, not a broadcast whose
+    inner loop is only d long; the einsum keeps its layout, since its sum
+    over d is not sequential and a new layout could move its last bits."""
+    b, k, d = rn.shape
+    diff = (np.repeat(rp, k, axis=0) - rn.reshape(b * k, d)).reshape(b, k, d)
     return diff, np.einsum("bd,bkd->bk", ra, diff)
 
 

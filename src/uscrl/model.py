@@ -52,9 +52,11 @@ def _check_caps(caps) -> None:
         raise ConfigError("norm caps must be positive finite numbers")
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    """ReLU or identity; the model constructors admit no other kind."""
-    return np.maximum(z, 0.0) if kind == "relu" else z
+def _layer(w: np.ndarray, kind: str, h: np.ndarray) -> np.ndarray:
+    """h @ w.T, then ReLU in place on that fresh product, or identity; the
+    model constructors admit no other kind."""
+    z = h @ w.T
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else z
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -151,7 +153,7 @@ class MlpModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         for w, kind in zip(self.layer_weights, self.layer_activations):
-            h = _apply_activation(kind, h @ w.T)
+            h = _layer(w, kind, h)
         return h
 
     def set_weights(self, ws):
@@ -228,26 +230,27 @@ def project(model):
     return model
 
 
-def _forward_cached(model, x: np.ndarray):
-    """Forward pass keeping pre-activations and layer inputs for backprop."""
-    h = np.asarray(x, dtype=np.float64)
-    inputs, preacts = [], []
+def _forward_cached(model, x: np.ndarray) -> list:
+    """Forward pass keeping every layer's input and the output, for backprop."""
+    hs = [np.asarray(x, dtype=np.float64)]
     for w, kind in zip(model.weights, model.activations):
-        inputs.append(h)
-        z = h @ w.T
-        preacts.append(z)
-        h = _apply_activation(kind, z)
-    return h, inputs, preacts
+        hs.append(_layer(w, kind, hs[-1]))
+    return hs
 
 
-def _backprop(model, inputs, preacts, grad_out):
-    """Gradients of sum(grad_out * output) w.r.t. every layer weight."""
+def _backprop(model, hs, grad_out):
+    """Gradients of sum(grad_out * output) w.r.t. every layer weight.
+
+    A ReLU layer masks with its output: relu(z) > 0 exactly where z > 0,
+    NaN included, so no pre-activation is kept.
+    """
+
     grads = [None] * len(model.weights)
     delta = grad_out
     for l in range(len(model.weights) - 1, -1, -1):
         if model.activations[l] == "relu":
-            delta = delta * (preacts[l] > 0.0)
-        grads[l] = delta.T @ inputs[l]
+            delta = delta * (hs[l + 1] > 0.0)
+        grads[l] = delta.T @ hs[l]
         if l > 0:
             delta = delta @ model.weights[l]
     return grads
@@ -289,7 +292,8 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     x, inverse = ds.x, np.concatenate([anchors, positives, negatives.ravel()])
     if inverse.size < WHOLE_POOL_RATIO * ds.n:
         x, inverse = _pool_rows(x, inverse)
-    reps, inputs, preacts = _forward_cached(model, x)
+    hs = _forward_cached(model, x)
+    reps = hs[-1]
     m, d = reps.shape
     r = np.take(reps, inverse, axis=0)
     ra = r[:b]
@@ -309,7 +313,7 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     grad_reps = np.ascontiguousarray(np.bincount(
         bins, weights=blocks.T.ravel(), minlength=d * m).reshape(d, m).T)
 
-    grads = _backprop(model, inputs, preacts, grad_reps)
+    grads = _backprop(model, hs, grad_reps)
     if not all(np.isfinite(g).all() for g in grads):
         raise NumericError("non-finite gradient in tuple batch backward")
     return grads, float(losses.sum() / b)

@@ -267,6 +267,11 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     from component c, and k negative classes by rejection (z from the
     priors until z != c, i.e. probabilities rho(z)/(1 - rho(c))), each
     with its own fresh sample.
+
+    Draws run in chunks of at most 2^21 doubles of input, all held in one
+    buffer reused across chunks: one standard_normal call fills a chunk's
+    anchor, positive and negative rows in that order (the stream of three
+    separate draws), then sigma and the class centers are applied in place.
     """
 
     if gspec.num_classes < 2:
@@ -279,6 +284,7 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     priors = gspec.prior_vector()
     dim = gspec.dim
     chunk = max(1, (1 << 21) // ((k + 2) * dim))
+    buf = np.empty((min(chunk, num_draws) * (k + 2), dim))
     s = sq = 0.0
     done = 0
     while done < num_draws:
@@ -290,11 +296,17 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
             negc[bad] = rng.choice(gspec.num_classes, size=int(bad.sum()),
                                    p=priors)
             bad = negc == cls[:, None]
-        xa = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
-        xp = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
-        xn = gspec.centers[negc] + gspec.sigma * rng.standard_normal((m, k, dim))
-        reps = model.forward(np.concatenate(
-            [xa, xp, xn.reshape(m * k, dim)], axis=0))
+        x = buf[:m * (k + 2)]  # anchors, positives, then negatives tuple-major
+        rng.standard_normal(out=x)
+        x *= gspec.sigma
+        # center + sigma * z, one block of m rows at a time
+        centers = gspec.centers[cls]
+        x[:m] += centers
+        x[m:2 * m] += centers
+        xn = x[2 * m:].reshape(m, k, dim)
+        for j in range(k):
+            xn[:, j] += gspec.centers[negc[:, j]]
+        reps = model.forward(x)
         v = _scores(reps[:m], reps[m:2 * m],
                     reps[2 * m:].reshape(m, k, -1))[1]
         lv = loss_value(spec, v)

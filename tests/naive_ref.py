@@ -296,3 +296,76 @@ def naive_mean_classifier(reps, labels, num_classes, queries):
                 best, best_score = c, score
         preds.append(best)
     return means, preds
+
+
+def naive_forward(weights, activations, x):
+    """Layer by layer, ReLU as a fresh copy; returns every layer input, the
+    pre-activations and the output."""
+    h = np.asarray(x, dtype=np.float64)
+    inputs, preacts = [], []
+    for w, kind in zip(weights, activations):
+        inputs.append(h)
+        z = h @ w.T
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if kind == "relu" else z
+    return inputs, preacts, h
+
+
+def naive_preact_backprop(weights, activations, x, grad_out):
+    """Weight gradients of sum(grad_out * output), each ReLU layer masked
+    with its pre-activations z > 0."""
+    inputs, preacts, _ = naive_forward(weights, activations, x)
+    grads = [None] * len(weights)
+    delta = grad_out
+    for l in range(len(weights) - 1, -1, -1):
+        if activations[l] == "relu":
+            delta = delta * (preacts[l] > 0.0)
+        grads[l] = delta.T @ inputs[l]
+        if l > 0:
+            delta = delta @ weights[l]
+    return grads
+
+
+def naive_population_risk(model, gspec, k, spec, num_draws, seed):
+    """Monte Carlo population risk, chunk by chunk, with per-block arrays.
+
+    A chunk holds max(1, 2^21 // ((k + 2) dim)) draws. Per chunk, from one
+    default_rng(seed) stream: the classes from the priors, the (m, k)
+    negative classes, rejection redraws of every negative equal to its
+    tuple's class, then separate standard normal draws for the anchors,
+    the positives and the (m, k) negatives, each center + sigma * z. The
+    rows are concatenated and forwarded with ReLU as a copy, scored with a
+    broadcast diff, and the losses summed per chunk. Returns the
+    RiskEstimate the package should return, bit for bit.
+    """
+    from uscrl.loss import loss_value
+    from uscrl.risk import RiskEstimate
+
+    rng = np.random.default_rng(seed)
+    priors = gspec.prior_vector()
+    c, dim = gspec.num_classes, gspec.dim
+    chunk = max(1, (1 << 21) // ((k + 2) * dim))
+    s = sq = 0.0
+    done = 0
+    while done < num_draws:
+        m = min(chunk, num_draws - done)
+        cls = rng.choice(c, size=m, p=priors)
+        negc = rng.choice(c, size=(m, k), p=priors)
+        bad = negc == cls[:, None]
+        while bad.any():
+            negc[bad] = rng.choice(c, size=int(bad.sum()), p=priors)
+            bad = negc == cls[:, None]
+        xa = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
+        xp = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
+        xn = gspec.centers[negc] + gspec.sigma * rng.standard_normal((m, k, dim))
+        reps = naive_forward(model.weights, model.activations, np.concatenate(
+            [xa, xp, xn.reshape(m * k, dim)], axis=0))[2]
+        ra, rp = reps[:m], reps[m:2 * m]
+        v = np.einsum("bd,bkd->bk", ra,
+                      rp[:, None, :] - reps[2 * m:].reshape(m, k, -1))
+        lv = loss_value(spec, v)
+        s += float(lv.sum())
+        sq += float((lv * lv).sum())
+        done += m
+    return RiskEstimate(s / num_draws, "population_mc", num_draws,
+                        std_error=_std_error(s, sq, num_draws), seed=seed)

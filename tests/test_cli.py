@@ -205,6 +205,16 @@ class TestSample:
         assert code == 3
         assert "precondition error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("regime", ["iid_disjoint", "all_tuples"])
+    def test_k_above_pool_size_exits_3(self, tmp_path, capsys, regime):
+        # numpy refuses even an empty (0, 2**62) index array
+        cfg = {"dataset": TOY_DS, "k": 2**62, "regime": regime}
+        code, out = run(tmp_path, "sample", cfg)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "exceeds the pool size 8" in err and "Traceback" not in err
+        assert not (out / "tuples.jsonl").exists()
+
     def test_out_of_memory_is_a_precondition_failure(self, tmp_path, capsys):
         # 10**16 tuples ask for about 80 PB, past any 64-bit address space,
         # so the allocation fails at once without touching memory
@@ -888,6 +898,15 @@ class TestExperiments:
         err = capsys.readouterr().err
         assert "job 0 (seed 0)" in err
 
+    def test_regimes_k_above_pool_size_exits_3(self, tmp_path, capsys):
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "n": 24}
+        cfg = {"dataset": ds, "n_disjoint": 2, "k": 2**62, "m_grid": [12],
+               "seeds": [0], "train": self.TRAIN}
+        code, _ = run(tmp_path, ["experiment", "regimes"], cfg)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "exceeds the pool size 24" in err and "Traceback" not in err
+
     def test_complexity_outputs(self, tmp_path):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.5}
         cfg = {"dataset": ds, "k": 2, "eps": 100.0, "lo": 8, "hi": 16,
@@ -943,6 +962,17 @@ class TestTrain:
         assert code == 0
         assert ((out_a / "checkpoint.bin").read_bytes()
                 == (out_b / "checkpoint.bin").read_bytes())
+
+    def test_iid_k_above_pool_size_exits_3(self, tmp_path, capsys):
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "n": 24}
+        cfg = {"dataset": ds, "k": 2**62,
+               "train": {"family": "linear", "out_dim": 3, "epochs": 1,
+                         "regime": "iid_disjoint"}}
+        code, out = run(tmp_path, "train", cfg)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "exceeds the pool size 24" in err and "Traceback" not in err
+        assert not (out / "checkpoint.bin").exists()
 
     def test_idx_pool_with_holdout(self, tmp_path):
         labels = [0, 1, 2] * 8

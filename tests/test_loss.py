@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uscrl.errors import ConfigError
-from uscrl.loss import (LOSS_KINDS, LossSpec, default_clip, loss_grad,
-                        loss_value, scores_from_reps, tuple_losses)
+from uscrl.loss import (LOSS_KINDS, LossSpec, _scores, default_clip,
+                        loss_grad, loss_value, scores_from_reps, tuple_losses)
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
@@ -208,6 +208,20 @@ class TestScores:
         for b in range(3):
             want = naive_scores(reps, anchors[b], positives[b], negatives[b])
             np.testing.assert_allclose(got[b], want, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_flat_diff_equals_broadcast(self, k):
+        rng = np.random.default_rng(60 + k)
+        for b, d in ((256, 6), (4369, 8), (3, 1)):
+            ra = rng.standard_normal((b, d))
+            rp = rng.standard_normal((b, d))
+            rn = rng.standard_normal((b, k, d))
+            want = rp[:, None, :] - rn
+            diff, v = _scores(ra, rp, rn)
+            assert diff.shape == (b, k, d)
+            assert diff.tobytes() == want.tobytes()
+            assert (v.tobytes()
+                    == np.einsum("bd,bkd->bk", ra, want).tobytes())
 
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))

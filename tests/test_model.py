@@ -16,7 +16,8 @@ from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, MlpModel,
 from uscrl.tuples import TupleSet, enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear, rand_mlp
-from naive_ref import naive_batch_grad, naive_mean_classifier
+from naive_ref import (naive_batch_grad, naive_mean_classifier,
+                       naive_preact_backprop)
 
 
 class TestSpectralNorm:
@@ -372,6 +373,34 @@ class TestBackward:
         np.testing.assert_allclose(grads[0], want, rtol=1e-12)
         assert loss == pytest.approx(np.minimum(raw, spec.clip).mean(),
                                      rel=1e-12)
+
+    @pytest.mark.parametrize("m_tuples", [6, 40])  # row subset, whole pool
+    def test_output_mask_equals_preactivation_mask(self, monkeypatch,
+                                                   m_tuples):
+        # a zero weight row and a zero input row put exact zeros among
+        # the pre-activations, where relu(z) > 0 and z > 0 must agree
+        ds = make_pool([8, 7, 6], dim=5, seed=45)
+        ts = subsample_tuples(ds, 2, m_tuples, seed=47)
+        ds.x[ts.anchors[0]] = 0.0
+        model = rand_mlp([5, 7, 6, 4], seed=46)
+        model.layer_weights[0][2] = 0.0
+        model.layer_weights[1][4] = 0.0
+        seen = []
+        backprop = model_mod._backprop
+
+        def spy(model, hs, grad_out):
+            seen.append((hs[0], grad_out))
+            return backprop(model, hs, grad_out)
+
+        monkeypatch.setattr(model_mod, "_backprop", spy)
+        grads, _ = tuple_batch_backward(model, ds, ts.anchors, ts.positives,
+                                        ts.negatives, LossSpec(clip=50.0))
+        (x, grad_out), = seen
+        assert (x == 0.0).all(axis=1).any()
+        want = naive_preact_backprop(model.weights, model.activations, x,
+                                     grad_out)
+        for g, w in zip(grads, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_rejects_flat_negatives(self):
         ds = make_pool([3, 3], dim=3, seed=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from uscrl.risk import (_CHUNK, Exact, MonteCarlo, RiskEstimate,
                         vstat_overall)
 from uscrl.tuples import subsample_tuples
 
-from conftest import make_pool, rand_linear
+from conftest import make_pool, rand_linear, rand_mlp
 from naive_ref import (naive_class_ustat, naive_mass_weighted_risk,
                        naive_mc_ustat, naive_mc_vstat, naive_overall_ustat,
-                       naive_overall_vstat)
+                       naive_overall_vstat, naive_population_risk)
 
 SPEC = LossSpec(clip=default_clip(2))
 
@@ -307,6 +308,38 @@ class TestPopulationRisk:
         model = rand_linear(3, 2, seed=10)
         est = population_risk_mc(model, spec_g, 1, SPEC, 2000, seed=11)
         assert math.isfinite(est.value)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_per_block_loop_oracle(self, k, family):
+        # 128 dims make a chunk (1 << 21) // ((k + 2) * 128) draws, so this
+        # runs three full chunks and a ragged fourth; the 0.9 prior makes
+        # most negative classes collide and forces rejection redraws
+        dim = 128
+        chunk = (1 << 21) // ((k + 2) * dim)
+        spec_g = GaussianSpec.random(3, dim=dim, sigma=0.5, seed=13,
+                                     priors=[0.9, 0.05, 0.05])
+        model = (rand_linear(dim, 8, seed=14) if family == "linear"
+                 else rand_mlp([dim, 16, 8], seed=15))
+        for kind, clip in (("logistic", None), ("hinge", 2.0)):
+            spec = LossSpec.for_k(k, kind, clip)
+            num_draws = 3 * chunk + 37
+            got = population_risk_mc(model, spec_g, k, spec, num_draws, seed=16)
+            assert got == naive_population_risk(model, spec_g, k, spec,
+                                                 num_draws, seed=16)
+
+    def test_peak_memory_stays_near_one_chunk(self):
+        # one chunk holds 2^21 input doubles (16 MiB); the draws, the
+        # forward pass and the scores of a chunk must fit in 2.5 of those
+        spec_g = GaussianSpec.random(3, dim=96, seed=17)
+        model = rand_mlp([96, 64, 8], seed=18)
+        tracemalloc.start()
+        try:
+            population_risk_mc(model, spec_g, 3, SPEC, 20000, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * (1 << 21), peak
 
     def test_validation(self):
         one_class = GaussianSpec.random(1, dim=3, seed=0)
