@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -232,8 +233,10 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
         raise ConfigError(
             "config field estimator: population_mc needs a gaussian "
             "dataset (an empirical pool has no population law)")
+    # a V-statistic's negatives repeat, so only it may take a k above n
     data = (_gaussian_spec(cfg["dataset"]) if estimator == "population_mc"
-            else _load_pool(cfg["dataset"], seed))
+            else _load_pool(cfg["dataset"], seed)
+            if estimator.startswith("vstat_") else _tuple_pool(cfg, seed))
     if model.in_dim != data.dim:
         raise ConfigError(
             f"checkpoint expects input dim {model.in_dim}, dataset has {data.dim}")
@@ -264,7 +267,7 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
                            "enumeration_mean", ts.m_count)
 
     path = os.path.join(out_dir, "estimate.json")
-    _write_json(path, est.to_json())
+    _write_json(path, dataclasses.asdict(est))
     return [path]
 
 

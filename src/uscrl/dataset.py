@@ -21,13 +21,13 @@ class GaussianSpec:
     """Isotropic Gaussian mixture: one center per class, shared sigma.
 
     ``sigma``, ``centers`` and ``priors`` must be finite; ``priors`` must be
-    strictly positive and sum to one; class c draws
-    x = centers[c] + sigma * z with z standard normal.
+    strictly positive and sum to one, and are uniform when not given; class
+    c draws x = centers[c] + sigma * z with z standard normal.
     """
 
     centers: np.ndarray  # (num_classes, dim)
     sigma: float = 0.1
-    priors: np.ndarray | None = None  # None means uniform
+    priors: np.ndarray | None = None  # None is filled in as uniform
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=np.float64)
@@ -39,16 +39,16 @@ class GaussianSpec:
         if not 0 < self.sigma < np.inf:
             raise ConfigError(
                 f"sigma must be positive and finite, got {self.sigma}")
-        if self.priors is not None:
-            p = np.asarray(self.priors, dtype=np.float64)
-            if p.shape != (centers.shape[0],):
-                raise ConfigError(
-                    f"priors has shape {p.shape}, expected ({centers.shape[0]},)")
-            if not (np.isfinite(p).all() and (p > 0).all()):
-                raise ConfigError("priors must be strictly positive and finite")
-            if abs(p.sum() - 1.0) > 1e-9:
-                raise ConfigError(f"priors sum to {p.sum()}, expected 1")
-            object.__setattr__(self, "priors", p)
+        c = centers.shape[0]
+        p = np.asarray(np.full(c, 1.0 / c) if self.priors is None
+                       else self.priors, dtype=np.float64)
+        if p.shape != (c,):
+            raise ConfigError(f"priors has shape {p.shape}, expected ({c},)")
+        if not (np.isfinite(p).all() and (p > 0).all()):
+            raise ConfigError("priors must be strictly positive and finite")
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise ConfigError(f"priors sum to {p.sum()}, expected 1")
+        object.__setattr__(self, "priors", p)
 
     @property
     def num_classes(self) -> int:
@@ -57,12 +57,6 @@ class GaussianSpec:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    def prior_vector(self) -> np.ndarray:
-        if self.priors is None:
-            c = self.num_classes
-            return np.full(c, 1.0 / c)
-        return self.priors
 
     @staticmethod
     def random(num_classes: int, dim: int = 128, sigma: float = 0.1,
@@ -111,9 +105,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def class_indices(self, c: int) -> np.ndarray:
         """Sorted indices of the samples labeled c."""
         return np.flatnonzero(self.y == c)
@@ -144,8 +135,7 @@ def generate_gaussian(spec: GaussianSpec, n: int, seed: int) -> LabeledDataset:
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    priors = spec.prior_vector()
-    counts = rng.multinomial(n, priors)
+    counts = rng.multinomial(n, spec.priors)
     xs = []
     ys = []
     for c in range(spec.num_classes):

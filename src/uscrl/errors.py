@@ -32,11 +32,6 @@ class PreconditionError(UscrlError):
 class SizeError(PreconditionError):
     """Requested exact enumeration exceeds the configured cap."""
 
-    def __init__(self, count: int, cap: int, what: str = "tuple enumeration"):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"{what}: {count} terms exceeds cap {cap}")
-
 
 class NumericError(UscrlError):
     """Numeric failure at runtime (divergence, non-finite values)."""

@@ -113,23 +113,25 @@ def loss_grad(spec: LossSpec, v) -> np.ndarray:
     return g[:, 0] if scalar else np.ascontiguousarray(g.T)
 
 
-def _scores(ra: np.ndarray, rp: np.ndarray, rn: np.ndarray):
-    """diff = rp - rn and the scores v = einsum(ra, diff), (batch, k), from
-    anchor and positive reps (batch, d) and negative reps (batch, k, d).
+def _scores(r: np.ndarray, b: int, k: int):
+    """(ra, diff, v) of a tuple-major block r of b*(k+2) rows: b anchors,
+    b positives, then each tuple's k negatives. ra is the anchor rows,
+    diff = positive - negative (b, k, d) and v = einsum(ra, diff) (b, k).
 
-    diff is one flat subtraction over batch*k rows, not a broadcast whose
+    diff is one flat subtraction over b*k rows, not a broadcast whose
     inner loop is only d long; the einsum keeps its layout, since its sum
     over d is not sequential and a new layout could move its last bits."""
-    b, k, d = rn.shape
-    diff = (np.repeat(rp, k, axis=0) - rn.reshape(b * k, d)).reshape(b, k, d)
-    return diff, np.einsum("bd,bkd->bk", ra, diff)
+    ra, d = r[:b], r.shape[1]
+    diff = (np.repeat(r[b:2 * b], k, axis=0) - r[2 * b:]).reshape(b, k, d)
+    return ra, diff, np.einsum("bd,bkd->bk", ra, diff)
 
 
 def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndarray:
-    """Score matrix (batch, k) from row representations and index columns."""
-    return _scores(np.take(reps, anchors, axis=0),
-                   np.take(reps, positives, axis=0),
-                   np.take(reps, negatives, axis=0))[1]
+    """Score matrix (batch, k) from row representations and index columns,
+    gathered as one tuple-major block."""
+    negatives = np.asarray(negatives)
+    idx = np.concatenate([anchors, positives, negatives.ravel()])
+    return _scores(np.take(reps, idx, axis=0), *negatives.shape)[2]
 
 
 def tuple_losses(model, ds, anchors, positives, negatives,

@@ -35,7 +35,7 @@ from .loss import LossSpec, _scores, _value_and_grad
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
 
-ACTIVATION_XI = {"relu": 1.0, "identity": 1.0}
+ACTIVATIONS = ("relu", "identity")
 
 # tuple_batch_backward forwards the whole pool once a batch has this many
 # index entries per pool row; below it, only the rows the batch touches.
@@ -93,10 +93,6 @@ class LinearModel:
         return self.a_mat.shape[1]
 
     @property
-    def out_dim(self) -> int:
-        return self.a_mat.shape[0]
-
-    @property
     def weights(self) -> list[np.ndarray]:
         return [self.a_mat]
 
@@ -131,16 +127,12 @@ class MlpModel:
                 raise ConfigError(f"layer {l} input dim mismatch")
         _check_caps(caps)
         for kind in acts:
-            if not isinstance(kind, str) or kind not in ACTIVATION_XI:
+            if not isinstance(kind, str) or kind not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {kind!r}")
 
     @property
     def in_dim(self) -> int:
         return self.layer_weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_weights[-1].shape[0]
 
     @property
     def weights(self) -> list[np.ndarray]:
@@ -296,8 +288,7 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     reps = hs[-1]
     m, d = reps.shape
     r = np.take(reps, inverse, axis=0)
-    ra = r[:b]
-    diff, v = _scores(ra, r[b:2 * b], r[2 * b:].reshape(b, k, d))
+    ra, diff, v = _scores(r, b, k)
     losses, gt = _value_and_grad(spec, np.ascontiguousarray(v.T))
     gv = np.divide(gt, b, out=gt).T  # gradient of the batch mean, (b, k)
 

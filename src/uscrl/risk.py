@@ -32,8 +32,7 @@ from .dataset import GaussianSpec, LabeledDataset
 from .errors import ConfigError, PreconditionError, SizeError
 from .loss import LossSpec, _scores, loss_value, scores_from_reps
 from .tuples import (DEFAULT_CAP, REGIME_SUB, TupleSet, block_tuples,
-                     class_tuple_chunks, class_tuple_count, draw_ksubsets,
-                     draw_ordered_pairs)
+                     class_tuple_chunks, class_tuple_count, draw_class_tuples)
 
 
 @dataclass(frozen=True)
@@ -63,27 +62,28 @@ class RiskEstimate:
     std_error: float | None = None
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "estimator": self.estimator,
-                "n_terms": self.n_terms, "std_error": self.std_error,
-                "seed": self.seed}
-
 
 _CHUNK = 1 << 16
+
+
+def _loss_sums(spec, scores):
+    """(sum, sumsq) of the clipped losses over an iterable of score arrays."""
+    s = sq = 0.0
+    for v in scores:
+        lv = loss_value(spec, v)
+        s += float(lv.sum())
+        sq += float((lv * lv).sum())
+    return s, sq
 
 
 def _chunked_loss_stats(reps, anchors, positives, negatives, spec):
     """(sum, sumsq, count) of per-tuple losses, evaluated in chunks."""
     total = anchors.shape[0]
-    s = sq = 0.0
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        v = scores_from_reps(reps, anchors[lo:hi], positives[lo:hi],
-                             negatives[lo:hi])
-        lv = loss_value(spec, v)
-        s += float(lv.sum())
-        sq += float((lv * lv).sum())
-    return s, sq, total
+    chunks = (scores_from_reps(reps, anchors[lo:lo + _CHUNK],
+                               positives[lo:lo + _CHUNK],
+                               negatives[lo:lo + _CHUNK])
+              for lo in range(0, total, _CHUNK))
+    return (*_loss_sums(spec, chunks), total)
 
 
 def _std_error(s: float, sq: float, n: int) -> float:
@@ -133,10 +133,8 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
             yield pos_idx[j1], pos_idx[j2], neg_idx[dig]
             return
         for lo in range(0, b, _CHUNK):
-            m = min(b, lo + _CHUNK) - lo
-            a, p = draw_ordered_pairs(rng, n_pos, m)
-            sub = draw_ksubsets(rng, n_neg, k, m)
-            yield pos_idx[a], pos_idx[p], neg_idx[sub]
+            yield draw_class_tuples(rng, pos_idx, neg_idx, k,
+                                    min(b, lo + _CHUNK) - lo)
         return
     if stat == "vstat":
         shape = (n_pos, n_pos) + (n_neg,) * k
@@ -157,12 +155,16 @@ def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
     mc = isinstance(mode, MonteCarlo)
     name = f"{stat}_{'mc' if mc else 'exact'}"
     n_pos, n_neg = len(pos_idx), len(neg_idx)
-    count = (class_tuple_count(n_pos, n_neg, k) if stat == "ustat"
-             else n_pos * n_pos * n_neg**k)
+    # a V power with k past the cap's bit length exceeds the cap unless
+    # n_neg < 2, so it is never formed in full; Monte Carlo needs its sign
+    count = (class_tuple_count(n_pos, n_neg, k) if stat == "ustat" else
+             n_pos * n_pos * n_neg**min(k, 1 if mc else mode.cap.bit_length()))
     if count == 0:
         return RiskEstimate(0.0, name, 0)
     if not mc and count > mode.cap:
-        raise SizeError(count, mode.cap, f"exact class {stat}")
+        terms = count if stat == "ustat" else f"{n_pos}^2 * {n_neg}^{k}"
+        raise SizeError(f"exact class {stat}: {terms} terms exceeds cap "
+                        f"{mode.cap}")
     s = sq = 0.0
     n = 0
     for anchors, positives, negatives in _class_chunks(stat, mode, pos_idx,
@@ -189,6 +191,9 @@ def _overall(model, ds: LabeledDataset, k: int, spec: LossSpec, mode,
     """
     if ds.n == 0:
         raise PreconditionError("empty dataset")
+    if stat == "vstat" and k > _CHUNK:  # negatives repeat, so k > n is valid
+        raise PreconditionError(f"vstat k={k} exceeds the loss chunk of "
+                                f"{_CHUNK} tuples")
     mc = isinstance(mode, MonteCarlo)
     rng = np.random.default_rng(mode.seed) if mc else None
     reps = model.forward(ds.x)
@@ -259,6 +264,35 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     return RiskEstimate(s / n, "ustat_decoupled", n)
 
 
+def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
+                       chunk: int, rng):
+    """Score arrays of num_draws population tuples, chunk draws at a time."""
+    dim = gspec.dim
+    buf = np.empty((min(chunk, num_draws) * (k + 2), dim))
+    done = 0
+    while done < num_draws:
+        m = min(chunk, num_draws - done)
+        cls = rng.choice(gspec.num_classes, size=m, p=gspec.priors)
+        negc = rng.choice(gspec.num_classes, size=(m, k), p=gspec.priors)
+        bad = negc == cls[:, None]
+        while bad.any():
+            negc[bad] = rng.choice(gspec.num_classes, size=int(bad.sum()),
+                                   p=gspec.priors)
+            bad = negc == cls[:, None]
+        x = buf[:m * (k + 2)]  # anchors, positives, then negatives tuple-major
+        rng.standard_normal(out=x)
+        x *= gspec.sigma
+        # center + sigma * z, one block of m rows at a time
+        centers = gspec.centers[cls]
+        x[:m] += centers
+        x[m:2 * m] += centers
+        xn = x[2 * m:].reshape(m, k, dim)
+        for j in range(k):
+            xn[:, j] += gspec.centers[negc[:, j]]
+        yield _scores(model.forward(x), m, k)[2]
+        done += m
+
+
 def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
                        num_draws: int, seed: int) -> RiskEstimate:
     """Monte Carlo population risk under a Gaussian mixture.
@@ -272,6 +306,7 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     buffer reused across chunks: one standard_normal call fills a chunk's
     anchor, positive and negative rows in that order (the stream of three
     separate draws), then sigma and the class centers are applied in place.
+    A k whose single draw would not fit a chunk is refused.
     """
 
     if gspec.num_classes < 2:
@@ -280,38 +315,12 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
         raise ConfigError("num_draws must be >= 1")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
-    priors = gspec.prior_vector()
-    dim = gspec.dim
-    chunk = max(1, (1 << 21) // ((k + 2) * dim))
-    buf = np.empty((min(chunk, num_draws) * (k + 2), dim))
-    s = sq = 0.0
-    done = 0
-    while done < num_draws:
-        m = min(chunk, num_draws - done)
-        cls = rng.choice(gspec.num_classes, size=m, p=priors)
-        negc = rng.choice(gspec.num_classes, size=(m, k), p=priors)
-        bad = negc == cls[:, None]
-        while bad.any():
-            negc[bad] = rng.choice(gspec.num_classes, size=int(bad.sum()),
-                                   p=priors)
-            bad = negc == cls[:, None]
-        x = buf[:m * (k + 2)]  # anchors, positives, then negatives tuple-major
-        rng.standard_normal(out=x)
-        x *= gspec.sigma
-        # center + sigma * z, one block of m rows at a time
-        centers = gspec.centers[cls]
-        x[:m] += centers
-        x[m:2 * m] += centers
-        xn = x[2 * m:].reshape(m, k, dim)
-        for j in range(k):
-            xn[:, j] += gspec.centers[negc[:, j]]
-        reps = model.forward(x)
-        v = _scores(reps[:m], reps[m:2 * m],
-                    reps[2 * m:].reshape(m, k, -1))[1]
-        lv = loss_value(spec, v)
-        s += float(lv.sum())
-        sq += float((lv * lv).sum())
-        done += m
+    chunk = (1 << 21) // ((k + 2) * gspec.dim)  # draws per 2^21 doubles
+    if chunk == 0:
+        raise PreconditionError(
+            f"k={k}: one draw of {k + 2} rows of dim {gspec.dim} exceeds "
+            "the 2^21-double draw chunk")
+    s, sq = _loss_sums(spec, _population_scores(
+        model, gspec, k, num_draws, chunk, np.random.default_rng(seed)))
     return RiskEstimate(s / num_draws, "population_mc", num_draws,
                         std_error=_std_error(s, sq, num_draws), seed=seed)

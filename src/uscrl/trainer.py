@@ -16,7 +16,6 @@ reference model's population risk.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -83,7 +82,6 @@ class TrainReport:
     final_probe_accuracy: float | None
     n_steps: int
     m_tuples_used: int
-    wall_seconds: float
     model: object = field(repr=False, compare=False, default=None)
 
     def to_json(self) -> dict:
@@ -159,10 +157,9 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     an eval point, except a last-epoch one with no risk to report;
     ``with_probe`` adds the mean-classifier accuracy to each. The
     ``final_*`` fields are the last epoch's evaluation. Identical config
-    and seed reproduce the exact same report apart from wall time.
+    and seed reproduce the exact same report.
     """
 
-    t0 = time.perf_counter()
     spec = cfg.loss_spec()
     model = _build_model(cfg, ds.dim)
     velocity = [np.zeros_like(w) for w in model.weights]
@@ -218,8 +215,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
         eval_points=eval_points, final_risk=point["risk"],
         final_risk_se=point["std_error"],
         final_probe_accuracy=point.get("probe_accuracy"), n_steps=n_steps,
-        m_tuples_used=ts.m_count, wall_seconds=time.perf_counter() - t0,
-        model=model)
+        m_tuples_used=ts.m_count, model=model)
 
 
 def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,

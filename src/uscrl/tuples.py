@@ -265,6 +265,14 @@ def draw_ksubsets(rng: np.random.Generator, n: int, k: int, size: int) -> np.nda
     return draw.astype(np.int64, copy=False)
 
 
+def draw_class_tuples(rng: np.random.Generator, pos_idx: np.ndarray,
+                      neg_idx: np.ndarray, k: int, m: int):
+    """m uniform tuples of one class as pool indices: (anchors, positives,
+    negatives), an ordered pair drawn from rng before a negative k-subset."""
+    a, p = draw_ordered_pairs(rng, len(pos_idx), m)
+    return pos_idx[a], pos_idx[p], neg_idx[draw_ksubsets(rng, len(neg_idx), k, m)]
+
+
 def subsample_tuples(ds: LabeledDataset, k: int, m: int, seed: int) -> TupleSet:
     """M i.i.d. draws from the natural tuple measure (feasible classes only).
 
@@ -297,13 +305,8 @@ def subsample_tuples(ds: LabeledDataset, k: int, m: int, seed: int) -> TupleSet:
         rows = np.flatnonzero(choice == ci)
         if rows.size == 0:
             continue
-        pos_idx = ds.class_indices(c)
-        neg_idx = ds.out_indices(c)
-        a, p = draw_ordered_pairs(rng, len(pos_idx), rows.size)
-        sub = draw_ksubsets(rng, len(neg_idx), k, rows.size)
-        anchors[rows] = pos_idx[a]
-        positives[rows] = pos_idx[p]
-        negatives[rows] = neg_idx[sub]
+        anchors[rows], positives[rows], negatives[rows] = draw_class_tuples(
+            rng, ds.class_indices(c), ds.out_indices(c), k, rows.size)
         class_ids[rows] = c
     return TupleSet(REGIME_SUB, k, anchors, positives, negatives, class_ids)
 
@@ -334,7 +337,7 @@ def enumerate_all_tuples(ds: LabeledDataset, k: int,
     """Complete tuple set over all classes, class-major lexicographic order."""
     total, per_class = count_all_tuples(ds, k)
     if total > cap:
-        raise SizeError(total, cap, "tuple enumeration")
+        raise SizeError(f"tuple enumeration: {total} terms exceeds cap {cap}")
     if total == 0:
         return _empty_set(REGIME_ALL, k)
     anchors, positives, negs, cids = [], [], [], []

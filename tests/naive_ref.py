@@ -342,7 +342,7 @@ def naive_population_risk(model, gspec, k, spec, num_draws, seed):
     from uscrl.risk import RiskEstimate
 
     rng = np.random.default_rng(seed)
-    priors = gspec.prior_vector()
+    priors = gspec.priors
     c, dim = gspec.num_classes, gspec.dim
     chunk = max(1, (1 << 21) // ((k + 2) * dim))
     s = sq = 0.0

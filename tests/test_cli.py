@@ -1,8 +1,9 @@
 """End-to-end runs of the command line entry point, in process.
 
 Every test calls main(argv) directly so exit codes, stdout summaries and
-stderr messages are checked without spawning subprocesses. Output trees
-live under tmp_path.
+stderr messages are checked without spawning subprocesses, except the
+huge-k estimate checks, which need a timeout that an in-process call
+cannot enforce. Output trees live under tmp_path.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import uscrl
 from uscrl import cli
 from uscrl.cli import main
 from uscrl.dataset import GaussianSpec, generate_gaussian
@@ -450,6 +454,42 @@ class TestEstimate:
         assert code == 2
         err = capsys.readouterr().err
         assert needle in err and prefix + ".json" in err
+
+    @pytest.mark.parametrize("estimator", [
+        "vstat_exact", "vstat_mc", "population_mc", "ustat_exact", "ustat_mc",
+        "subsampled", "enumeration_mean"])
+    def test_huge_k_exits_3_within_seconds(self, tmp_path, estimator):
+        # 2**62 negatives: refused before any array is shaped by k and, for
+        # the V-statistic, before n_neg**k is formed
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+              "n": 24}
+        cfg = {"dataset": ds, "k": 2**62, "estimator": estimator,
+               "checkpoint": self._checkpoint(tmp_path), "m_tuples": 5}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(uscrl.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "uscrl.cli", "estimate", "--config",
+             str(cfg_path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("precondition error: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "estimate.json").exists()
+
+    def test_vstat_k_above_pool_size_still_estimates(self, tmp_path):
+        prefix = self._checkpoint(tmp_path)
+        ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+              "n": 24}
+        cfg = {"dataset": ds, "k": 30, "estimator": "vstat_mc",
+               "checkpoint": prefix, "mc_draws": 40, "seed": 2}
+        code, out = run(tmp_path, "estimate", cfg)
+        assert code == 0
+        with open(out / "estimate.json") as f:
+            assert json.load(f)["n_terms"] == 120
 
     def test_subsampled_estimate_reports_spread(self, tmp_path):
         prefix = self._checkpoint(tmp_path)
@@ -947,8 +987,9 @@ class TestTrain:
             rep = json.load(f)
         assert rep["final_risk"] is not None
         assert np.isfinite(rep["epoch_losses"][-1])
+        assert "wall_seconds" not in rep
         model = load_checkpoint(str(out / "checkpoint"))
-        assert model.in_dim == 4 and model.out_dim == 3
+        assert model.in_dim == 4 and model.a_mat.shape == (3, 4)
 
     def test_train_rerun_checkpoint_identical(self, tmp_path):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,

@@ -15,11 +15,12 @@ class TestGaussianSpec:
         spec = GaussianSpec(centers=np.zeros((3, 5)))
         assert spec.num_classes == 3
         assert spec.dim == 5
-        np.testing.assert_allclose(spec.prior_vector(), [1 / 3] * 3)
+        # priors are filled in as uniform at construction
+        np.testing.assert_array_equal(spec.priors, np.full(3, 1 / 3))
 
     def test_explicit_priors(self):
         spec = GaussianSpec(centers=np.zeros((2, 2)), priors=[0.25, 0.75])
-        np.testing.assert_allclose(spec.prior_vector(), [0.25, 0.75])
+        np.testing.assert_array_equal(spec.priors, [0.25, 0.75])
 
     def test_random_is_seeded(self):
         a = GaussianSpec.random(4, dim=8, seed=3)
@@ -65,7 +66,7 @@ class TestLabeledDataset:
     def test_class_sizes_and_len(self):
         ds = make_pool([3, 4, 2])
         np.testing.assert_array_equal(ds.class_sizes(), [3, 4, 2])
-        assert len(ds) == 9
+        assert ds.n == 9
 
     def test_subset_reindexes(self):
         ds = make_pool([3, 3], dim=2, seed=2)

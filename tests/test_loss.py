@@ -209,19 +209,59 @@ class TestScores:
             want = naive_scores(reps, anchors[b], positives[b], negatives[b])
             np.testing.assert_allclose(got[b], want, rtol=1e-14)
 
+    @staticmethod
+    def _three_array_scores(ra, rp, rn):
+        """The (ra, rp, rn) form the block kernel replaced: separate anchor,
+        positive and (b, k, d) negative arrays."""
+        b, k, d = rn.shape
+        diff = (np.repeat(rp, k, axis=0) - rn.reshape(b * k, d)).reshape(b, k, d)
+        return diff, np.einsum("bd,bkd->bk", ra, diff)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_flat_diff_equals_broadcast(self, k):
+        # the block kernel gives the bytes of the broadcast diff and of the
+        # three-array form, on a fresh block, a copy and a row-offset view
         rng = np.random.default_rng(60 + k)
-        for b, d in ((256, 6), (4369, 8), (3, 1)):
+        for b, d in ((256, 6), (4369, 8), (3, 1), (65, 7)):
             ra = rng.standard_normal((b, d))
             rp = rng.standard_normal((b, d))
             rn = rng.standard_normal((b, k, d))
             want = rp[:, None, :] - rn
-            diff, v = _scores(ra, rp, rn)
-            assert diff.shape == (b, k, d)
-            assert diff.tobytes() == want.tobytes()
-            assert (v.tobytes()
-                    == np.einsum("bd,bkd->bk", ra, want).tobytes())
+            want_v = np.einsum("bd,bkd->bk", ra, want)
+            old_diff, old_v = self._three_array_scores(ra, rp, rn)
+            assert old_diff.tobytes() == want.tobytes()
+            assert old_v.tobytes() == want_v.tobytes()
+            block = np.concatenate([ra, rp, rn.reshape(b * k, d)])
+            pad = np.zeros((3, d))
+            offset = np.concatenate([pad, block, pad])[3:-3]
+            for r in (block, block.copy(), offset):
+                got_ra, diff, v = _scores(r, b, k)
+                assert got_ra.tobytes() == ra.tobytes()
+                assert diff.shape == (b, k, d)
+                assert diff.tobytes() == want.tobytes()
+                assert v.shape == (b, k)
+                assert v.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_batch_gives_empty_scores(self, k):
+        ra, diff, v = _scores(np.zeros((0, 4)), 0, k)
+        assert ra.shape == (0, 4) and diff.shape == (0, k, 4)
+        assert v.shape == (0, k)
+        got = scores_from_reps(np.ones((5, 4)), np.zeros(0, dtype=np.int64),
+                               np.zeros(0, dtype=np.int64),
+                               np.zeros((0, k), dtype=np.int64))
+        assert got.shape == (0, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_one_gather_equals_three(self, k):
+        rng = np.random.default_rng(80 + k)
+        reps = rng.standard_normal((40, 6))
+        a, p = rng.integers(0, 40, 300), rng.integers(0, 40, 300)
+        neg = rng.integers(0, 40, (300, k))
+        want = self._three_array_scores(np.take(reps, a, axis=0),
+                                        np.take(reps, p, axis=0),
+                                        np.take(reps, neg, axis=0))[1]
+        assert scores_from_reps(reps, a, p, neg).tobytes() == want.tobytes()
 
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))

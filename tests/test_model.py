@@ -74,7 +74,7 @@ class TestForward:
         x = np.array([[1.0, 1.0], [2.0, 0.0]])
         np.testing.assert_allclose(model.forward(x),
                                    [[3.0, -1.0], [2.0, 0.0]])
-        assert model.in_dim == 2 and model.out_dim == 2
+        assert model.in_dim == 2 and model.forward(x).shape == (2, 2)
 
     def test_mlp_forward_by_hand(self):
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -83,7 +83,7 @@ class TestForward:
         x = np.array([[2.0, 3.0]])
         # layer 1: [2, -3] -> relu -> [2, 0]; layer 2: 2
         np.testing.assert_allclose(model.forward(x), [[2.0]])
-        assert model.out_dim == 1
+        assert model.in_dim == 2 and model.forward(x).shape == (1, 1)
 
     def test_mlp_validation(self):
         w1 = np.zeros((3, 2))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -141,6 +143,14 @@ class TestMonteCarloStreams:
         assert (est.value, est.std_error) == want
         assert est.n_terms == 3 * self.DRAWS
 
+    def test_ustat_value_is_pinned(self):
+        # two draw chunks per class; class 3 has one sample and no term
+        ds = make_pool([5, 6, 4, 1], dim=4, seed=130)
+        est = ustat_overall(rand_linear(4, 3, seed=131), ds, 2, SPEC,
+                            mode=MonteCarlo(70000, seed=5))
+        assert (est.value, est.std_error, est.n_terms) == (
+            1.0191089629877965, 0.0007767523957335688, 210000)
+
     def test_vstat_shared_stream_matches_oracle(self):
         ds = make_pool([5, 6, 4], dim=4, seed=122)
         model = rand_linear(4, 3, seed=123)
@@ -268,8 +278,58 @@ class TestVstat:
         with pytest.raises(SizeError):
             vstat_overall(model, ds, 2, SPEC, mode=Exact(cap=50))
 
+    def test_cap_boundary(self):
+        # each class has 2^2 * 2^k terms: 32 at k = 3
+        ds = make_pool([2, 2], dim=3, seed=93)
+        model = rand_linear(3, 2, seed=94)
+        assert vstat_overall(model, ds, 3, SPEC, mode=Exact(cap=32)).n_terms == 64
+        with pytest.raises(SizeError, match="2\\^2 \\* 2\\^3 terms exceeds cap 31"):
+            vstat_overall(model, ds, 3, SPEC, mode=Exact(cap=31))
+
+    def test_large_k_refused_by_cap_without_the_full_power(self):
+        # 10^k would have 65,537 digits, past the int-to-str limit
+        ds = make_pool([10, 10], dim=3, seed=95)
+        model = rand_linear(3, 2, seed=96)
+        with pytest.raises(SizeError, match="10\\^2 \\* 10\\^65536 terms"):
+            vstat_overall(model, ds, _CHUNK, SPEC)
+
+    @pytest.mark.parametrize("mode", [Exact(), MonteCarlo(5, seed=1)])
+    def test_k_above_loss_chunk_refused(self, mode):
+        ds = make_pool([3, 3], dim=3, seed=97)
+        model = rand_linear(3, 2, seed=98)
+        for k in (_CHUNK + 1, 2**62):
+            with pytest.raises(PreconditionError, match="loss chunk"):
+                vstat_overall(model, ds, k, SPEC, mode=mode)
+
+    def test_k_above_pool_size_is_a_valid_term(self):
+        # negatives repeat, so k may exceed the pool size; one out-of-class
+        # sample gives n_neg**k = 1 for every k
+        ds = make_pool([1, 1], dim=3, seed=99)
+        model = rand_linear(3, 2, seed=100)
+        want = naive_overall_vstat(_reps(model, ds), ds.y.tolist(), 2, 20,
+                                   "logistic", SPEC.clip)
+        est = vstat_overall(model, ds, 20, SPEC)
+        assert est.n_terms == 2
+        assert est.value == pytest.approx(want, rel=1e-12)
+        est = vstat_overall(model, make_pool([3, 3, 2], dim=3, seed=99), _CHUNK,
+                            SPEC, mode=MonteCarlo(2, seed=1))
+        assert est.n_terms == 6 and math.isfinite(est.value)
+
 
 class TestPopulationRisk:
+    def test_draw_chunk_limit(self):
+        # a draw of k + 2 rows of dim 2^11 fills the 2^21-double chunk at
+        # k = 1022; one more negative is refused before any array is shaped
+        spec_g = GaussianSpec.random(3, dim=2048, seed=0)
+        zero = LinearModel(np.zeros((2, 2048)), max_col_sum=1.0,
+                           max_spectral=1.0)
+        est = population_risk_mc(zero, spec_g, 1022, LossSpec(), 2, seed=1)
+        assert est.n_terms == 2
+        assert est.value == pytest.approx(math.log(1023.0), rel=1e-12)
+        for k in (1023, 2**62):
+            with pytest.raises(PreconditionError, match="draw chunk"):
+                population_risk_mc(zero, spec_g, k, LossSpec(), 2, seed=1)
+
     def test_zero_model_gives_log_one_plus_k(self):
         spec_g = GaussianSpec.random(3, dim=5, seed=0)
         zero = LinearModel(np.zeros((2, 5)), max_col_sum=1.0, max_spectral=1.0)
@@ -355,7 +415,11 @@ class TestPopulationRisk:
 
 class TestRiskEstimate:
     def test_to_json(self):
+        # estimate.json is dataclasses.asdict of the estimate, keys sorted
         est = RiskEstimate(1.5, "ustat_exact", 10, std_error=0.1, seed=3)
-        got = est.to_json()
+        got = dataclasses.asdict(est)
         assert got == {"value": 1.5, "estimator": "ustat_exact",
                        "n_terms": 10, "std_error": 0.1, "seed": 3}
+        assert json.dumps(got, sort_keys=True) == (
+            '{"estimator": "ustat_exact", "n_terms": 10, "seed": 3, '
+            '"std_error": 0.1, "value": 1.5}')

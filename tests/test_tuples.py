@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,8 +10,8 @@ from uscrl import tuples as tuples_mod
 from uscrl.errors import ConfigError, PreconditionError, SizeError
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
                           block_tuples, class_tuple_chunks, class_tuple_count,
-                          count_all_tuples, disjoint_tuples, draw_ksubsets,
-                          draw_ordered_pairs, enumerate_all_tuples,
+                          count_all_tuples, disjoint_tuples, draw_class_tuples,
+                          draw_ksubsets, draw_ordered_pairs, enumerate_all_tuples,
                           regime_tuples, subsample_tuples, tuple_mass,
                           tuple_masses)
 
@@ -365,6 +366,45 @@ class TestSubsample:
         ds = make_pool([3, 3], seed=0)
         ts = subsample_tuples(ds, 1, 0, seed=0)
         assert ts.m_count == 0
+
+    # class 3 has one sample, so it is infeasible and never drawn
+    POOL = ([5, 6, 4, 1], 4, 130)
+
+    def test_draws_equal_separate_pair_and_subset_draws(self):
+        ds = make_pool(*self.POOL)
+        ts = subsample_tuples(ds, 2, 700, seed=31)
+        # the same stream drawn as before the shared class helper: per
+        # feasible class, ordered pairs from rng, then negative k-subsets
+        rng = np.random.default_rng(31)
+        feasible = [0, 1, 2]
+        sizes = ds.class_sizes()[feasible].astype(np.float64)
+        choice = rng.choice(3, size=700, p=sizes / sizes.sum())
+        for ci, c in enumerate(feasible):
+            rows = np.flatnonzero(choice == ci)
+            pos, neg = ds.class_indices(c), ds.out_indices(c)
+            a, p = draw_ordered_pairs(rng, len(pos), rows.size)
+            sub = draw_ksubsets(rng, len(neg), 2, rows.size)
+            assert (ts.anchors[rows] == pos[a]).all()
+            assert (ts.positives[rows] == pos[p]).all()
+            assert (ts.negatives[rows] == neg[sub]).all()
+            assert (ts.class_ids[rows] == c).all()
+
+    def test_draws_are_pinned(self):
+        ts = subsample_tuples(make_pool(*self.POOL), 2, 700, seed=31)
+        h = hashlib.sha256()
+        for col in (ts.anchors, ts.positives, ts.negatives, ts.class_ids):
+            h.update(col.tobytes())
+        assert h.hexdigest() == ("6665e1c6233de13306a031a44295f8e0"
+                                 "80094cb14b65dbde3d15b364ed9689c4")
+
+    def test_class_helper_draws_pair_then_subset(self):
+        pos, neg = np.array([3, 5, 9]), np.array([0, 1, 2, 4, 6])
+        a, p, ng = draw_class_tuples(np.random.default_rng(4), pos, neg, 2, 50)
+        rng = np.random.default_rng(4)
+        wa, wp = draw_ordered_pairs(rng, 3, 50)
+        assert (a == pos[wa]).all() and (p == pos[wp]).all()
+        assert (ng == neg[draw_ksubsets(rng, 5, 2, 50)]).all()
+        assert ng.shape == (50, 2)
 
 
 class TestEnumeration:
