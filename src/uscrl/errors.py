@@ -33,6 +33,15 @@ class SizeError(PreconditionError):
     """Requested exact enumeration exceeds the configured cap."""
 
 
+def count_text(count: int) -> str:
+    """A term count for a message: in decimal up to 2048 bits, else as the
+    power of two its bit length gives. Python refuses to print an int past
+    its int-to-str digit limit (4,300 digits by default, never below 640),
+    and 2^2048 has 617 digits."""
+    bits = count.bit_length()
+    return str(count) if bits <= 2048 else f"at least 2^{bits - 1}"
+
+
 class NumericError(UscrlError):
     """Numeric failure at runtime (divergence, non-finite values)."""
 

@@ -28,6 +28,10 @@ from .errors import ConfigError
 
 LOSS_KINDS = ("logistic", "hinge")
 
+# tuples per scoring block in scores_from_reps, and rows per forward piece
+# of a population Monte Carlo chunk
+_BLOCK = 4096
+
 
 def default_clip(k: int) -> float:
     """Clip level 4*log(1+k): four times the logistic loss of a zero model."""
@@ -127,11 +131,21 @@ def _scores(r: np.ndarray, b: int, k: int):
 
 
 def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndarray:
-    """Score matrix (batch, k) from row representations and index columns,
-    gathered as one tuple-major block."""
+    """Score matrix (batch, k) from row representations and index columns.
+
+    Tuples are gathered and scored _BLOCK at a time, each block one
+    tuple-major np.take, so the temporaries stay cache-sized whatever the
+    batch. Every score is the einsum of its own tuple, so the blocking
+    changes no value."""
     negatives = np.asarray(negatives)
-    idx = np.concatenate([anchors, positives, negatives.ravel()])
-    return _scores(np.take(reps, idx, axis=0), *negatives.shape)[2]
+    b, k = negatives.shape
+    v = np.empty((b, k))
+    for lo in range(0, b, _BLOCK):
+        hi = min(b, lo + _BLOCK)
+        idx = np.concatenate([anchors[lo:hi], positives[lo:hi],
+                              negatives[lo:hi].ravel()])
+        v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
+    return v
 
 
 def tuple_losses(model, ds, anchors, positives, negatives,

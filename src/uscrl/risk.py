@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GaussianSpec, LabeledDataset
-from .errors import ConfigError, PreconditionError, SizeError
-from .loss import LossSpec, _scores, loss_value, scores_from_reps
+from .errors import ConfigError, PreconditionError, SizeError, count_text
+from .loss import _BLOCK, LossSpec, loss_value, scores_from_reps
 from .tuples import (DEFAULT_CAP, REGIME_SUB, TupleSet, block_tuples,
                      class_tuple_chunks, class_tuple_count, draw_class_tuples)
 
@@ -118,8 +118,10 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
     """(anchors, positives, negatives) index chunks over one class's terms.
 
     Exact U: tuples.class_tuple_chunks, _CHUNK // C(N_c-, k) pairs (at
-    least one) per chunk. Exact V: ranks unpacked by np.unravel_index into
-    (anchor, positive, k negative digits). Monte Carlo U: num_draws
+    least one) per chunk. Exact V: ranks unpacked in mixed radix
+    (N_c+, N_c+, N_c-, ..., N_c-) into (anchor, positive, k negative
+    digits), one digit column at a time, so any k <= _CHUNK works (numpy
+    arrays have at most 64 axes). Monte Carlo U: num_draws
     ordered pairs and k-subsets from rng, _CHUNK per chunk. Monte Carlo V:
     all num_draws index tuples from rng in one draw.
     """
@@ -137,12 +139,14 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
                                     min(b, lo + _CHUNK) - lo)
         return
     if stat == "vstat":
-        shape = (n_pos, n_pos) + (n_neg,) * k
-        count = math.prod(shape)
+        count = n_pos * n_pos * n_neg**k
         for lo in range(0, count, _CHUNK):
-            j1, j2, *digits = np.unravel_index(
-                np.arange(lo, min(count, lo + _CHUNK)), shape)
-            yield pos_idx[j1], pos_idx[j2], neg_idx[np.stack(digits, axis=1)]
+            rank = np.arange(lo, min(count, lo + _CHUNK))
+            digits = np.empty((rank.size, k), dtype=np.int64)
+            for j in range(k - 1, -1, -1):  # last negative fastest
+                rank, digits[:, j] = np.divmod(rank, n_neg)
+            j1, j2 = np.divmod(rank, n_pos)
+            yield pos_idx[j1], pos_idx[j2], neg_idx[digits]
         return
     yield from class_tuple_chunks(pos_idx, neg_idx, k,
                                   max(1, _CHUNK // math.comb(n_neg, k)))
@@ -162,7 +166,8 @@ def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
     if count == 0:
         return RiskEstimate(0.0, name, 0)
     if not mc and count > mode.cap:
-        terms = count if stat == "ustat" else f"{n_pos}^2 * {n_neg}^{k}"
+        terms = (count_text(count) if stat == "ustat" else
+                 f"{n_pos}^2 * {n_neg}^{k}")
         raise SizeError(f"exact class {stat}: {terms} terms exceeds cap "
                         f"{mode.cap}")
     s = sq = 0.0
@@ -264,32 +269,43 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     return RiskEstimate(s / n, "ustat_decoupled", n)
 
 
+def _population_chunk(model, gspec: GaussianSpec, k: int, m: int,
+                      x: np.ndarray, rng) -> np.ndarray:
+    """Scores (m, k) of m population draws; x is the buffer for their
+    m * (k + 2) input rows: anchors, positives, then negatives tuple-major."""
+    n_cls, priors = gspec.num_classes, gspec.priors
+    rows = x.shape[0]
+    cls = rng.choice(n_cls, size=m, p=priors)
+    negc = rng.choice(n_cls, size=(m, k), p=priors).ravel()
+    # redraw in C order, re-testing only the positions just redrawn
+    bad = np.flatnonzero(negc == np.repeat(cls, k))
+    while bad.size:
+        negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
+        bad = bad[negc[bad] == cls[bad // k]]
+    rowcls = np.concatenate([cls, cls, negc])
+    rng.standard_normal(out=x)
+    reps = np.empty((rows, model.weights[-1].shape[0]))
+    pieces = -(-rows // _BLOCK)
+    for i in range(pieces):
+        lo, hi = rows * i // pieces, rows * (i + 1) // pieces
+        xp = x[lo:hi]
+        xp *= gspec.sigma
+        xp += gspec.centers[rowcls[lo:hi]]  # center + sigma * z
+        reps[lo:hi] = model.forward(xp)
+    idx = np.arange(rows)
+    return scores_from_reps(reps, idx[:m], idx[m:2 * m],
+                            idx[2 * m:].reshape(m, k))
+
+
 def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
                        chunk: int, rng):
-    """Score arrays of num_draws population tuples, chunk draws at a time."""
-    dim = gspec.dim
-    buf = np.empty((min(chunk, num_draws) * (k + 2), dim))
+    """Score arrays of num_draws population tuples, chunk draws at a time,
+    all drawn into one reused buffer."""
+    buf = np.empty((min(chunk, num_draws) * (k + 2), gspec.dim))
     done = 0
     while done < num_draws:
         m = min(chunk, num_draws - done)
-        cls = rng.choice(gspec.num_classes, size=m, p=gspec.priors)
-        negc = rng.choice(gspec.num_classes, size=(m, k), p=gspec.priors)
-        bad = negc == cls[:, None]
-        while bad.any():
-            negc[bad] = rng.choice(gspec.num_classes, size=int(bad.sum()),
-                                   p=gspec.priors)
-            bad = negc == cls[:, None]
-        x = buf[:m * (k + 2)]  # anchors, positives, then negatives tuple-major
-        rng.standard_normal(out=x)
-        x *= gspec.sigma
-        # center + sigma * z, one block of m rows at a time
-        centers = gspec.centers[cls]
-        x[:m] += centers
-        x[m:2 * m] += centers
-        xn = x[2 * m:].reshape(m, k, dim)
-        for j in range(k):
-            xn[:, j] += gspec.centers[negc[:, j]]
-        yield _scores(model.forward(x), m, k)[2]
+        yield _population_chunk(model, gspec, k, m, buf[:m * (k + 2)], rng)
         done += m
 
 
@@ -305,8 +321,15 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     Draws run in chunks of at most 2^21 doubles of input, all held in one
     buffer reused across chunks: one standard_normal call fills a chunk's
     anchor, positive and negative rows in that order (the stream of three
-    separate draws), then sigma and the class centers are applied in place.
-    A k whose single draw would not fit a chunk is refused.
+    separate draws). The chunk's rows are then walked in even pieces of at
+    most _BLOCK rows: sigma and the class centers are applied in place and
+    the piece is forwarded into the chunk's representations, which are
+    scored _BLOCK tuples at a time. A chunk of at most _BLOCK rows is one
+    piece, and no piece of a larger one has fewer than _BLOCK / 2 rows: a
+    BLAS may round a matmul of a few rows differently, but pieces of 512
+    rows or more forwarded to the bytes of the whole chunk in every case
+    checked. The losses are summed per chunk. A k whose single draw would
+    not fit a chunk is refused.
     """
 
     if gspec.num_classes < 2:

@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ConfigError, PreconditionError, SizeError
+from .errors import ConfigError, PreconditionError, SizeError, count_text
 
 REGIME_IID = "iid_disjoint"
 REGIME_SUB = "subsampled"
@@ -337,7 +337,8 @@ def enumerate_all_tuples(ds: LabeledDataset, k: int,
     """Complete tuple set over all classes, class-major lexicographic order."""
     total, per_class = count_all_tuples(ds, k)
     if total > cap:
-        raise SizeError(f"tuple enumeration: {total} terms exceeds cap {cap}")
+        raise SizeError(f"tuple enumeration: {count_text(total)} terms "
+                        f"exceeds cap {cap}")
     if total == 0:
         return _empty_set(REGIME_ALL, k)
     anchors, positives, negs, cids = [], [], [], []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uscrl.errors import ConfigError
-from uscrl.loss import (LOSS_KINDS, LossSpec, _scores, default_clip,
+from uscrl.loss import (_BLOCK, LOSS_KINDS, LossSpec, _scores, default_clip,
                         loss_grad, loss_value, scores_from_reps, tuple_losses)
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
@@ -241,6 +241,28 @@ class TestScores:
                 assert diff.tobytes() == want.tobytes()
                 assert v.shape == (b, k)
                 assert v.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    @pytest.mark.parametrize("b", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 37])
+    def test_blocked_scores_equal_whole_block(self, b, k):
+        # scores_from_reps scores _BLOCK tuples at a time; on the identity
+        # gather of a tuple-major block and on a random gather it gives
+        # the scores of _scores over the whole block
+        rng = np.random.default_rng(90 + k)
+        rows = b * (k + 2)
+        r = rng.standard_normal((rows, 7))
+        idx = np.arange(rows)
+        got = scores_from_reps(r, idx[:b], idx[b:2 * b],
+                               idx[2 * b:].reshape(b, k))
+        assert got.shape == (b, k)
+        assert (got == _scores(r, b, k)[2]).all()
+        reps = rng.standard_normal((50, 7))
+        a, p = rng.integers(0, 50, b), rng.integers(0, 50, b)
+        neg = rng.integers(0, 50, (b, k))
+        whole = np.take(reps, np.concatenate([a, p, neg.ravel()]), axis=0)
+        got = scores_from_reps(reps, a, p, neg)
+        assert (got == _scores(whole, b, k)[2]).all()
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_empty_batch_gives_empty_scores(self, k):

@@ -12,9 +12,9 @@ from uscrl.errors import ConfigError, PreconditionError, SizeError
 from uscrl.loss import LossSpec, default_clip
 from uscrl.model import LinearModel
 from uscrl.risk import (_CHUNK, Exact, MonteCarlo, RiskEstimate,
-                        decoupled_block_estimate, population_risk_mc,
-                        subsampled_risk, ustat_conditional, ustat_overall,
-                        vstat_overall)
+                        _class_chunks, decoupled_block_estimate,
+                        population_risk_mc, subsampled_risk, ustat_conditional,
+                        ustat_overall, vstat_overall)
 from uscrl.tuples import subsample_tuples
 
 from conftest import make_pool, rand_linear, rand_mlp
@@ -96,6 +96,13 @@ class TestExactUstat:
         model = rand_linear(3, 2, seed=65)
         with pytest.raises(SizeError):
             ustat_overall(model, ds, 2, SPEC, mode=Exact(cap=100))
+
+    def test_cap_refusal_of_a_count_too_long_to_print(self):
+        ds = make_pool([15000, 15000], dim=1, seed=64)
+        model = rand_linear(1, 2, seed=65)
+        with pytest.raises(SizeError, match=r"exact class ustat: at least "
+                                            r"2\^\d+ terms exceeds cap"):
+            ustat_overall(model, ds, 7500, SPEC)
 
     def test_bad_class_rejected(self):
         ds = make_pool([3, 3], dim=3, seed=0)
@@ -315,6 +322,28 @@ class TestVstat:
                             SPEC, mode=MonteCarlo(2, seed=1))
         assert est.n_terms == 6 and math.isfinite(est.value)
 
+    @pytest.mark.parametrize("k", [63, 70, _CHUNK])
+    def test_exact_k_past_the_ndarray_axis_limit(self, k):
+        # k + 2 rank digits exceed numpy's 64 axes; the mixed-radix unpack
+        # needs none
+        ds = make_pool([1, 1], dim=3, seed=99)
+        model = rand_linear(3, 2, seed=100)
+        want = naive_overall_vstat(_reps(model, ds), ds.y.tolist(), 2, k,
+                                   "logistic", SPEC.clip)
+        est = vstat_overall(model, ds, k, SPEC)
+        assert est.n_terms == 2
+        assert est.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_pos,n_neg,k", [(3, 2, 3), (2, 5, 1), (4, 3, 4)])
+    def test_exact_ranks_unpack_as_unravel_index(self, n_pos, n_neg, k):
+        pos_idx, neg_idx = np.arange(n_pos) * 10, np.arange(n_neg) * 10 + 1
+        shape = (n_pos, n_pos) + (n_neg,) * k
+        j1, j2, *digits = np.unravel_index(np.arange(math.prod(shape)), shape)
+        (a, p, ng), = _class_chunks("vstat", Exact(), pos_idx, neg_idx, k, None)
+        assert a.tobytes() == pos_idx[j1].tobytes()
+        assert p.tobytes() == pos_idx[j2].tobytes()
+        assert ng.tobytes() == neg_idx[np.stack(digits, axis=1)].tobytes()
+
 
 class TestPopulationRisk:
     def test_draw_chunk_limit(self):
@@ -369,33 +398,62 @@ class TestPopulationRisk:
         est = population_risk_mc(model, spec_g, 1, SPEC, 2000, seed=11)
         assert math.isfinite(est.value)
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("family", ["linear", "mlp"])
-    def test_matches_per_block_loop_oracle(self, k, family):
-        # 128 dims make a chunk (1 << 21) // ((k + 2) * 128) draws, so this
-        # runs three full chunks and a ragged fourth; the 0.9 prior makes
-        # most negative classes collide and forces rejection redraws
-        dim = 128
-        chunk = (1 << 21) // ((k + 2) * dim)
+    @staticmethod
+    def _check_oracle(dim, k, family, num_draws):
+        # the 0.9 prior makes most negative classes collide and forces
+        # rejection redraws
         spec_g = GaussianSpec.random(3, dim=dim, sigma=0.5, seed=13,
                                      priors=[0.9, 0.05, 0.05])
         model = (rand_linear(dim, 8, seed=14) if family == "linear"
                  else rand_mlp([dim, 16, 8], seed=15))
         for kind, clip in (("logistic", None), ("hinge", 2.0)):
             spec = LossSpec.for_k(k, kind, clip)
-            num_draws = 3 * chunk + 37
             got = population_risk_mc(model, spec_g, k, spec, num_draws, seed=16)
             assert got == naive_population_risk(model, spec_g, k, spec,
                                                  num_draws, seed=16)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_per_block_loop_oracle(self, k, family):
+        # 128 dims make a chunk (1 << 21) // ((k + 2) * 128) draws, so this
+        # runs three full chunks and a ragged fourth
+        chunk = (1 << 21) // ((k + 2) * 128)
+        self._check_oracle(128, k, family, 3 * chunk + 37)
+
+    @pytest.mark.parametrize("dim,k", [(8, 2), (96, 3), (784, 9)])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_oracle_in_one_and_several_pieces(self, dim, k, family):
+        # a chunk is forwarded in even pieces of at most _BLOCK rows. Full
+        # chunks: dim 8 gives 64 pieces of 4,096 rows, dim 96 six uneven
+        # pieces of 3,640 or 3,641 rows, dim 784 one piece of 2,673 rows.
+        # The ragged fourth chunk: 22 uneven pieces, two uneven pieces and
+        # one piece
+        chunk = (1 << 21) // ((k + 2) * dim)
+        self._check_oracle(dim, k, family, 3 * chunk + chunk // 3 + 37)
+
     def test_peak_memory_stays_near_one_chunk(self):
         # one chunk holds 2^21 input doubles (16 MiB); the draws, the
-        # forward pass and the scores of a chunk must fit in 2.5 of those
+        # piecewise forward pass and the scores of a chunk must fit in 1.5
+        # of those
         spec_g = GaussianSpec.random(3, dim=96, seed=17)
         model = rand_mlp([96, 64, 8], seed=18)
         tracemalloc.start()
         try:
             population_risk_mc(model, spec_g, 3, SPEC, 20000, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (1 << 21), peak
+
+    def test_peak_memory_linear_stays_near_one_chunk(self):
+        # at dim 8 a chunk is 65,536 draws of 262,144 rows: the chunk's
+        # (rows, 6) representations and row classes, not a piece's
+        # temporaries, set the peak
+        spec_g = GaussianSpec.random(3, dim=8, seed=17)
+        model = rand_linear(8, 6, seed=18)
+        tracemalloc.start()
+        try:
+            population_risk_mc(model, spec_g, 2, SPEC, 100000, seed=19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

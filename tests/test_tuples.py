@@ -442,6 +442,17 @@ class TestEnumeration:
         assert str(total) in str(ei.value)
         assert str(total - 1) in str(ei.value)
 
+    def test_cap_refusal_of_a_count_too_long_to_print(self):
+        # C(15000, 7500) has about 4,500 digits, past Python's 4,300-digit
+        # int-to-str limit, so the refusal gives the count by bit length
+        ds = make_pool([15000, 15000], dim=1, seed=10)
+        total, _ = count_all_tuples(ds, 7500)
+        with pytest.raises(SizeError) as ei:
+            enumerate_all_tuples(ds, 7500)
+        assert str(ei.value) == (f"tuple enumeration: at least "
+                                 f"2^{total.bit_length() - 1} terms exceeds "
+                                 f"cap {tuples_mod.DEFAULT_CAP}")
+
     def test_infeasible_pool_returns_empty(self):
         ds = make_pool([1, 1], seed=0)
         ts = enumerate_all_tuples(ds, 1)
