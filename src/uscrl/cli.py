@@ -2,8 +2,9 @@
 
 Every run validates its JSON config against the shipped schema, writes
 its outputs under --out, and drops a manifest.json recording the config
-hash, seeds and output names. Reruns with the same config and seed
-produce byte-identical result files (the manifest's timestamps aside).
+hash, seeds and output names. Reruns with the same config, seed and BLAS
+thread count produce byte-identical result files (the manifest's
+timestamps aside).
 
 Exit codes, held by the classes in errors.py: 0 success, 2 configuration
 error, 3 precondition failure or out of memory, 4 numeric failure.
@@ -451,8 +452,13 @@ def main(argv=None) -> int:
                                    started)
         print(f"wrote {len(outputs)} output(s) and {manifest}")
         return 0
-    except (OSError, MemoryError, UscrlError) as e:
-        if isinstance(e, MemoryError):
+    except (OSError, MemoryError, OverflowError, ValueError, UscrlError) as e:
+        # numpy refuses an array past the address space with this
+        # ValueError, and a count past a C long with an OverflowError
+        if (isinstance(e, ValueError)
+                and not str(e).startswith("array is too big")):
+            raise
+        if isinstance(e, (MemoryError, OverflowError, ValueError)):
             e = PreconditionError(f"out of memory: {e}")
         kind = type(e) if isinstance(e, UscrlError) else UscrlError
         print(f"{kind.prefix}: {e}", file=sys.stderr)

@@ -269,44 +269,37 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
     return RiskEstimate(s / n, "ustat_decoupled", n)
 
 
-def _population_chunk(model, gspec: GaussianSpec, k: int, m: int,
-                      x: np.ndarray, rng) -> np.ndarray:
-    """Scores (m, k) of m population draws; x is the buffer for their
-    m * (k + 2) input rows: anchors, positives, then negatives tuple-major."""
-    n_cls, priors = gspec.num_classes, gspec.priors
-    rows = x.shape[0]
-    cls = rng.choice(n_cls, size=m, p=priors)
-    negc = rng.choice(n_cls, size=(m, k), p=priors).ravel()
-    # redraw in C order, re-testing only the positions just redrawn
-    bad = np.flatnonzero(negc == np.repeat(cls, k))
-    while bad.size:
-        negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
-        bad = bad[negc[bad] == cls[bad // k]]
-    rowcls = np.concatenate([cls, cls, negc])
-    rng.standard_normal(out=x)
-    reps = np.empty((rows, model.weights[-1].shape[0]))
-    pieces = -(-rows // _BLOCK)
-    for i in range(pieces):
-        lo, hi = rows * i // pieces, rows * (i + 1) // pieces
-        xp = x[lo:hi]
-        xp *= gspec.sigma
-        xp += gspec.centers[rowcls[lo:hi]]  # center + sigma * z
-        reps[lo:hi] = model.forward(xp)
-    idx = np.arange(rows)
-    return scores_from_reps(reps, idx[:m], idx[m:2 * m],
-                            idx[2 * m:].reshape(m, k))
-
-
 def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
                        chunk: int, rng):
-    """Score arrays of num_draws population tuples, chunk draws at a time,
-    all drawn into one reused buffer."""
+    """Scores (m, k) of num_draws population tuples, m <= chunk draws at a
+    time; a chunk's m * (k + 2) input rows fill one reused buffer."""
+    n_cls, priors = gspec.num_classes, gspec.priors
     buf = np.empty((min(chunk, num_draws) * (k + 2), gspec.dim))
-    done = 0
-    while done < num_draws:
+    for done in range(0, num_draws, chunk):
         m = min(chunk, num_draws - done)
-        yield _population_chunk(model, gspec, k, m, buf[:m * (k + 2)], rng)
-        done += m
+        rows = m * (k + 2)
+        cls = rng.choice(n_cls, size=m, p=priors)
+        negc = rng.choice(n_cls, size=(m, k), p=priors).ravel()
+        # redraw in C order, re-testing only the positions just redrawn
+        bad = np.flatnonzero(negc == np.repeat(cls, k))
+        while bad.size:
+            negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
+            bad = bad[negc[bad] == cls[bad // k]]
+        rowcls = np.concatenate([cls, cls, negc])
+        rng.standard_normal(out=buf[:rows])
+        reps = np.empty((rows, model.weights[-1].shape[0]))
+        pieces = -(-rows // _BLOCK)
+        for i in range(pieces):
+            lo, hi = rows * i // pieces, rows * (i + 1) // pieces
+            xp = buf[lo:hi]
+            xp *= gspec.sigma
+            xp += gspec.centers[rowcls[lo:hi]]  # center + sigma * z
+            reps[lo:hi] = model.forward(xp)
+        idx = np.arange(rows)
+        v = scores_from_reps(reps, idx[:m], idx[m:2 * m],
+                             idx[2 * m:].reshape(m, k))
+        del cls, negc, bad, rowcls, reps, idx  # freed before the losses run
+        yield v
 
 
 def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
@@ -318,18 +311,18 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     priors until z != c, i.e. probabilities rho(z)/(1 - rho(c))), each
     with its own fresh sample.
 
-    Draws run in chunks of at most 2^21 doubles of input, all held in one
-    buffer reused across chunks: one standard_normal call fills a chunk's
-    anchor, positive and negative rows in that order (the stream of three
-    separate draws). The chunk's rows are then walked in even pieces of at
-    most _BLOCK rows: sigma and the class centers are applied in place and
-    the piece is forwarded into the chunk's representations, which are
-    scored _BLOCK tuples at a time. A chunk of at most _BLOCK rows is one
-    piece, and no piece of a larger one has fewer than _BLOCK / 2 rows: a
-    BLAS may round a matmul of a few rows differently, but pieces of 512
-    rows or more forwarded to the bytes of the whole chunk in every case
-    checked. The losses are summed per chunk. A k whose single draw would
-    not fit a chunk is refused.
+    One generator draws, forwards and scores chunks of at most 2^21 input
+    doubles in one reused buffer. Per chunk it draws the classes, the
+    negative classes, then one standard_normal call for the anchor,
+    positive and negative rows in that order (the stream of three separate
+    draws). It walks the rows in even pieces of at most _BLOCK rows,
+    applies sigma and the class centers in place, forwards each piece into
+    the chunk's representations and scores those _BLOCK tuples at a time.
+    A chunk of at most _BLOCK rows is one piece, and no piece of a larger
+    one has fewer than _BLOCK / 2 rows: a BLAS may round a matmul of a few
+    rows differently, but pieces of 512 rows or more forwarded to the bytes
+    of the whole chunk in every case checked. The losses are summed per
+    chunk. A k whose single draw would not fit a chunk is refused.
     """
 
     if gspec.num_classes < 2:

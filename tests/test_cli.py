@@ -2,8 +2,8 @@
 
 Every test calls main(argv) directly so exit codes, stdout summaries and
 stderr messages are checked without spawning subprocesses, except the
-huge-k estimate checks, which need a timeout that an in-process call
-cannot enforce. Output trees live under tmp_path.
+huge-k estimate and oversized-config checks, which need a timeout that an
+in-process call cannot enforce. Output trees live under tmp_path.
 """
 
 import contextlib
@@ -53,6 +53,22 @@ def run(tmp_path, sub, cfg, *extra, out_name="out"):
     code = main(argv + ["--config", str(cfg_path), "--out", str(out)]
                 + list(extra))
     return code, out
+
+
+def run_subprocess(tmp_path, sub, cfg):
+    """One CLI run in a fresh interpreter with one BLAS thread, killed
+    after 20 s; returns the CompletedProcess."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(uscrl.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    argv = list(sub) if isinstance(sub, (list, tuple)) else [sub]
+    return subprocess.run(
+        [sys.executable, "-m", "uscrl.cli", *argv, "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=20)
 
 
 def read_manifest(out):
@@ -465,16 +481,7 @@ class TestEstimate:
               "n": 24}
         cfg = {"dataset": ds, "k": 2**62, "estimator": estimator,
                "checkpoint": self._checkpoint(tmp_path), "m_tuples": 5}
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        src = str(Path(uscrl.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "uscrl.cli", "estimate", "--config",
-             str(cfg_path), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=20)
+        proc = run_subprocess(tmp_path, "estimate", cfg)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("precondition error: ")
         assert "Traceback" not in proc.stderr
@@ -749,6 +756,53 @@ class TestMalformedInputExitCodes:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "error:" in err and "Traceback" not in err
+
+
+BIG = 2**62
+BIG_DS = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+          "n": 24}
+BIG_TRAIN = {"family": "linear", "out_dim": 2, "epochs": 1, "batch_size": 8,
+             "eval_draws": 30}
+BIG_REGIMES = {"dataset": BIG_DS, "n_disjoint": 2, "k": 1, "m_grid": [3],
+               "seeds": [0], "train": BIG_TRAIN}
+
+
+class TestOversizedConfigs:
+    @pytest.mark.parametrize("sub,cfg", [
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "out_dim": BIG}}),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "family": "mlp",
+                             "hidden": [BIG]}}),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "regime": "subsampled",
+                             "m_tuples": BIG}}),
+        ("sample", {"dataset": {**BIG_DS, "dim": BIG}, "k": 1,
+                    "regime": "iid_disjoint"}),
+        ("sample", {"dataset": {**BIG_DS, "num_classes": BIG}, "k": 1,
+                    "regime": "iid_disjoint"}),
+        ("sample", {"dataset": {**BIG_DS, "n": BIG}, "k": 1,
+                    "regime": "iid_disjoint"}),
+        ("sample", {"dataset": BIG_DS, "k": 1, "regime": "subsampled",
+                    "m_tuples": BIG}),
+        (["experiment", "regimes"], {**BIG_REGIMES, "n_disjoint": BIG}),
+        (["experiment", "regimes"], {**BIG_REGIMES, "m_grid": [BIG]}),
+        # the reference pool of ref_mult * hi samples overflows a C long
+        (["experiment", "complexity"],
+         {"dataset": {"type": "gaussian", "num_classes": 3, "dim": 4,
+                      "sigma": 0.5},
+          "k": 2, "eps": 0.01, "lo": 8, "hi": BIG, "seeds": [0],
+          "train": BIG_TRAIN}),
+    ], ids=["train-out-dim", "train-hidden", "train-m-tuples", "sample-dim",
+            "sample-num-classes", "sample-n", "sample-m-tuples",
+            "regimes-n-disjoint", "regimes-m-grid", "complexity-hi"])
+    def test_size_numpy_refuses_exits_3(self, tmp_path, sub, cfg):
+        # 2**62 is a valid config integer, but numpy cannot shape an array
+        # of that many elements or pass it as a C long
+        proc = run_subprocess(tmp_path, sub, cfg)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("precondition error: out of memory: ")
+        assert "Traceback" not in proc.stderr
 
 
 FUZZ_VALUES = (-1, 0, 1, 2, 3, 2**63, 10**400, 2.0, 1.5, -0.5, "x", None,

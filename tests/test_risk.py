@@ -399,13 +399,13 @@ class TestPopulationRisk:
         assert math.isfinite(est.value)
 
     @staticmethod
-    def _check_oracle(dim, k, family, num_draws):
+    def _check_oracle(dim, k, family, num_draws, out_dim=8):
         # the 0.9 prior makes most negative classes collide and forces
         # rejection redraws
         spec_g = GaussianSpec.random(3, dim=dim, sigma=0.5, seed=13,
                                      priors=[0.9, 0.05, 0.05])
-        model = (rand_linear(dim, 8, seed=14) if family == "linear"
-                 else rand_mlp([dim, 16, 8], seed=15))
+        model = (rand_linear(dim, out_dim, seed=14) if family == "linear"
+                 else rand_mlp([dim, 16, out_dim], seed=15))
         for kind, clip in (("logistic", None), ("hinge", 2.0)):
             spec = LossSpec.for_k(k, kind, clip)
             got = population_risk_mc(model, spec_g, k, spec, num_draws, seed=16)
@@ -430,6 +430,16 @@ class TestPopulationRisk:
         # one piece
         chunk = (1 << 21) // ((k + 2) * dim)
         self._check_oracle(dim, k, family, 3 * chunk + chunk // 3 + 37)
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_oracle_with_representations_wider_than_inputs(
+            self, family):
+        # 16-dim representations of 4-dim inputs: the chunk's
+        # representations outgrow its draw buffer. A full chunk of 131,072
+        # draws (128 pieces of 4,096 rows) and a ragged one of 37 draws
+        # (one piece of 148 rows)
+        chunk = (1 << 21) // ((2 + 2) * 4)
+        self._check_oracle(4, 2, family, chunk + 37, out_dim=16)
 
     def test_peak_memory_stays_near_one_chunk(self):
         # one chunk holds 2^21 input doubles (16 MiB); the draws, the
