@@ -21,8 +21,9 @@ class GaussianSpec:
     """Isotropic Gaussian mixture: one center per class, shared sigma.
 
     ``sigma``, ``centers`` and ``priors`` must be finite; ``priors`` must be
-    strictly positive and sum to one, and are uniform when not given; class
-    c draws x = centers[c] + sigma * z with z standard normal.
+    strictly positive, sum to one and pass the pool draw's multinomial, and
+    are uniform when not given; class c draws x = centers[c] + sigma * z
+    with z standard normal.
     """
 
     centers: np.ndarray  # (num_classes, dim)
@@ -48,6 +49,10 @@ class GaussianSpec:
             raise ConfigError("priors must be strictly positive and finite")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ConfigError(f"priors sum to {p.sum()}, expected 1")
+        try:  # generate_gaussian's multinomial allows only 1e-12 of slack
+            np.random.default_rng(0).multinomial(0, p)
+        except ValueError as e:
+            raise ConfigError(f"priors {p.tolist()}: {e}") from None
         object.__setattr__(self, "priors", p)
 
     @property
@@ -190,6 +195,8 @@ def load_idx(images_path: str, labels_path: str,
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(
                 f"images magic: expected {_IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}")
+        if rows == 0 or cols == 0:
+            raise FormatError(f"images header: {rows} x {cols} images have no pixels")
         payload = _read_payload(f, count * rows * cols, "images payload")
     with open(labels_path, "rb") as f:
         head = _read_exact(f, 8, "labels header")

@@ -28,7 +28,7 @@ from .model import (make_linear, make_mlp, mean_classifier, project,
 from .risk import MonteCarlo, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
-                     enumerate_all_tuples, regime_tuples, subsample_tuples)
+                     regime_tuples)
 
 REF_EPOCH_MULT = 3  # epoch multiplier of the complexity reference model
 
@@ -110,36 +110,35 @@ def _draw_tuples(ds: LabeledDataset, cfg: TrainConfig, epoch: int) -> TupleSet:
                          m_tuples=cfg.m_tuples, cap=cfg.cap)
 
 
-def _evaluate(model, cfg: TrainConfig, spec: LossSpec,
+def _evaluate(model, cfg: TrainConfig, spec: LossSpec, ds: LabeledDataset,
               eval_spec: GaussianSpec | None,
-              holdout: LabeledDataset | None):
+              holdout: LabeledDataset | None, with_probe: bool) -> dict:
+    """One eval point's risk and standard error: population Monte Carlo
+    when ``eval_spec`` is given, else a Monte Carlo U-statistic on
+    ``holdout``, else none. ``with_probe`` adds the accuracy of the mean
+    classifier fitted on the pool's representations, scored on fresh
+    population draws, else on the holdout, else in-sample."""
     seed = _child_seed(cfg.seed, 3)
+    est, test = None, ds
     if eval_spec is not None:
         est = population_risk_mc(model, eval_spec, cfg.k, spec,
                                  num_draws=cfg.eval_draws, seed=seed)
-        return est.value, est.std_error
-    if holdout is not None:
+        if with_probe:
+            test = generate_gaussian(
+                eval_spec, max(1000, 100 * eval_spec.num_classes),
+                seed=_child_seed(cfg.seed, 5))
+    elif holdout is not None:
         per_class = max(200, cfg.eval_draws // max(1, holdout.num_classes))
         est = ustat_overall(model, holdout, cfg.k, spec,
                             mode=MonteCarlo(per_class, seed=seed))
-        return est.value, est.std_error
-    return None, None
-
-
-def _probe_accuracy(model, cfg: TrainConfig, ds: LabeledDataset,
-                    eval_spec: GaussianSpec | None,
-                    holdout: LabeledDataset | None) -> float:
-    """Accuracy of the mean classifier fitted on the pool's representations,
-    scored on fresh population draws, else on the holdout, else in-sample."""
-    test = ds
-    if eval_spec is not None:
-        test = generate_gaussian(eval_spec, max(1000, 100 * eval_spec.num_classes),
-                                 seed=_child_seed(cfg.seed, 5))
-    elif holdout is not None:
         test = holdout
-    _, pred = mean_classifier(model.forward(ds.x), ds.y, ds.num_classes,
-                              model.forward(test.x))
-    return float(np.mean(pred == test.y))
+    point = ({"risk": None, "std_error": None} if est is None
+             else {"risk": est.value, "std_error": est.std_error})
+    if with_probe:
+        _, pred = mean_classifier(model.forward(ds.x), ds.y, ds.num_classes,
+                                  model.forward(test.x))
+        point["probe_accuracy"] = float(np.mean(pred == test.y))
+    return point
 
 
 def train(ds: LabeledDataset, cfg: TrainConfig,
@@ -202,12 +201,9 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
         epoch_losses.append(loss_sum / ts.m_count)
         last = epoch + 1 == cfg.epochs
         if last or (cfg.eval_every and (epoch + 1) % cfg.eval_every == 0):
-            risk, se = _evaluate(model, cfg, spec, eval_spec, holdout)
-            point = {"epoch": epoch + 1, "risk": risk, "std_error": se}
-            if with_probe:
-                point["probe_accuracy"] = _probe_accuracy(
-                    model, cfg, ds, eval_spec, holdout)
-            if not (last and risk is None):
+            point = {"epoch": epoch + 1, **_evaluate(
+                model, cfg, spec, ds, eval_spec, holdout, with_probe)}
+            if not (last and point["risk"] is None):
                 eval_points.append(point)
 
     return TrainReport(
@@ -238,26 +234,22 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
         chosen = disjoint_tuples(pool, k, n_disjoint,
                                  seed=_child_seed(seed, 10))
 
-        used = np.sort(np.unique(np.concatenate(
-            [chosen.anchors, chosen.positives, chosen.negatives.ravel()])))
+        used = np.unique(np.concatenate(
+            [chosen.anchors, chosen.positives, chosen.negatives.ravel()]))
         if used.size != n_disjoint * (k + 2):
             raise PreconditionError(
                 f"{n_disjoint} disjoint tuples touch {used.size} samples, "
                 f"expected {n_disjoint * (k + 2)}")
         sub_pool = pool.subset(used)
 
-        runs = [(REGIME_IID, None)] + [(REGIME_SUB, int(m)) for m in m_grid]
+        runs = [(REGIME_IID, 0)] + [(REGIME_SUB, int(m)) for m in m_grid]
         if count_all_tuples(sub_pool, k)[0] <= cfg.cap:
-            runs.append((REGIME_ALL, None))
+            runs.append((REGIME_ALL, 0))
         for regime, m in runs:
-            if regime == REGIME_IID:
-                ds, ts = pool, chosen
-            elif regime == REGIME_SUB:
-                ds, ts = sub_pool, subsample_tuples(
-                    sub_pool, k, m, seed=_child_seed(seed, 12, m))
-            else:
-                ds, ts = sub_pool, enumerate_all_tuples(sub_pool, k,
-                                                        cap=cfg.cap)
+            ds, ts = (pool, chosen) if regime == REGIME_IID else (
+                sub_pool, regime_tuples(sub_pool, k, regime,
+                                        _child_seed(seed, 12, m),
+                                        m_tuples=m, cap=cfg.cap))
             report = train(ds, base, eval_spec=eval_spec, tuples=ts,
                            with_probe=True)
             rows.append({"regime": regime, "m_count": ts.m_count,

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -637,6 +638,32 @@ class TestFamilyParams:
         assert "Traceback" not in err.getvalue()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the schema section of each README json block, in README order
+README_SECTIONS = ["sample", "estimate", "bounds", "experiment_regimes",
+                   "experiment_complexity", "train"]
+
+
+def readme_configs():
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(),
+                        flags=re.S | re.M)
+    return [json.loads(b) for b in blocks]
+
+
+class TestReadmeConfigs:
+    def test_every_block_validates_against_its_section(self):
+        configs = readme_configs()
+        assert len(configs) == len(README_SECTIONS)
+        for section, cfg in zip(README_SECTIONS, configs):
+            cli._validate_config(cfg, section)
+
+    @pytest.mark.parametrize("sub", ["sample", "bounds"])
+    def test_example_runs(self, tmp_path, sub):
+        cfg = readme_configs()[README_SECTIONS.index(sub)]
+        code, _ = run(tmp_path, sub, cfg)
+        assert code == 0
+
+
 def _huge_int_config(tmp_path):
     """A sample config whose k has 5,001 digits, over the int-parse limit."""
     cfg = json.dumps({"dataset": TOY_DS, "regime": "subsampled",
@@ -688,6 +715,14 @@ BOUNDS_CFG = {"theorem": "basic", "n": 100, "num_classes": 3, "k": 1,
 HUGE = 10**400  # a JSON integer that float() cannot hold
 
 
+def _pixelless_idx_config(tmp_path):
+    """A train config on IDX images of 0 rows: a pool with no features."""
+    img, lab = write_idx_pair(tmp_path, labels=[0, 1, 0, 1, 0, 1], rows=0)
+    return "train", json.dumps({
+        "dataset": {"type": "idx", "images": img, "labels": lab}, "k": 1,
+        "train": {"family": "linear", "out_dim": 2, "epochs": 1}})
+
+
 def _overflowing_idx_config(tmp_path):
     """An images header claiming 0xFFFFFFFF images of 0xFFFFFFFF^2 pixels."""
     img, lab = write_idx_pair(tmp_path, labels=[0, 1, 0, 1])
@@ -735,6 +770,11 @@ class TestMalformedInputExitCodes:
                           "train": {"family": "linear", "out_dim": 2,
                                     "epochs": 1, "m_tuples": 3,
                                     "eval_draws": 3}}),
+        # within 1e-9 of one, but the pool's multinomial draw refuses them
+        _config("sample", {"dataset": {**TOY_DS, "n": 24,
+                                       "priors": [0.5, 0.5000000004, 1e-10]},
+                           "k": 1, "regime": "iid_disjoint"}),
+        _pixelless_idx_config,
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -746,7 +786,8 @@ class TestMalformedInputExitCodes:
             "seed-over-int64", "lr-over-int64", "k-integral-float",
             "bounds-n-integral-float", "priors-nan-token",
             "sigma-infinity-token", "sigma-literal-overflows-double",
-            "gaussian-holdout-fraction"])
+            "gaussian-holdout-fraction", "priors-past-multinomial-slack",
+            "idx-images-without-pixels"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"

@@ -41,10 +41,19 @@ class TestGaussianSpec:
         {"centers": [[0.0, np.nan], [0.0, 0.0]]},
         {"centers": np.zeros((3, 2)), "priors": [np.nan, 0.5, 0.5]},
         {"centers": np.zeros((2, 2)), "priors": [np.inf, 0.5]},
+        # within 1e-9 of summing to one, but refused by generate_gaussian's
+        # multinomial: the first two sum past 1 + 1e-12, or one class is > 1
+        {"centers": np.zeros((3, 2)), "priors": [0.5, 0.5000000004, 1e-10]},
+        {"centers": np.zeros((1, 2)), "priors": [1 + 5e-10]},
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ConfigError):
             GaussianSpec(**kwargs)
+
+    def test_accepts_priors_within_the_draws_slack(self):
+        spec = GaussianSpec(centers=np.zeros((3, 2)),
+                            priors=[0.5, 0.5 + 5e-13, 1e-10])
+        assert generate_gaussian(spec, 24, seed=0).n == 24
 
 
 class TestLabeledDataset:
@@ -189,6 +198,12 @@ class TestLoadIdx:
                                    image_count=3, label_count=2)
         # labels payload is 3 bytes but header promises 2 -> trailing bytes
         with pytest.raises(FormatError):
+            load_idx(img, lab)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (2, 0)])
+    def test_images_without_pixels(self, tmp_path, rows, cols):
+        img, lab = _write_idx_pair(tmp_path, [], [1, 0], rows=rows, cols=cols)
+        with pytest.raises(FormatError, match="no pixels"):
             load_idx(img, lab)
 
     def test_label_header_disagrees_with_images(self, tmp_path):
