@@ -216,13 +216,13 @@ def linear_phi(n: int, k: int, d: float, loss_bound: float, eta: float,
 
 
 def nn_log_factor(n: int, eta: float, b: float, caps, xis) -> float:
-    """ln(12 eta N L b^2 prod xi_l^2 s_l^2 + 1) for a capped network."""
-    caps = np.asarray(caps, dtype=np.float64)
-    xis = np.asarray(xis, dtype=np.float64)
-    gain = float(np.prod(xis * xis * caps * caps))
-    depth = caps.shape[0]
+    """ln(12 eta N L b^2 prod xi_l^2 s_l^2 + 1) for a capped network.
+
+    The product runs in Python floats, as linear_phi's does: a product past
+    the double range is an infinity, with no numpy overflow warning."""
+    gain = math.prod(xi * xi * s * s for xi, s in zip(xis, caps, strict=True))
     inner = THEOREM_CONSTANTS["basic_nn"]["log_inner"]
-    return math.log(inner * eta * n * depth * b * b * gain + 1.0)
+    return math.log(inner * eta * n * len(caps) * b * b * gain + 1.0)
 
 
 def evaluate_theorem(theorem: str, inputs: BoundInputs,

@@ -32,8 +32,8 @@ from . import __version__
 from .bounds import BoundInputs, evaluate_theorem
 from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
                       load_idx, train_holdout_split)
-from .errors import ConfigError, NumericError, PreconditionError, UscrlError
-from .fileio import atomic_write
+from .errors import ConfigError, PreconditionError, UscrlError
+from .fileio import _check_finite, atomic_write, read_json, write_json
 from .loss import LossSpec, tuple_losses
 from .model import load_checkpoint, save_checkpoint
 from .risk import (Exact, MonteCarlo, RiskEstimate, population_risk_mc,
@@ -76,7 +76,8 @@ def _validate_config(cfg: dict, section: str) -> None:
     if errors:
         err = jsonschema.exceptions.best_match(errors)
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}")
+        why = "not used by this run" if err.validator == "not" else err.message
+        raise ConfigError(f"config field {path}: {why}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -85,12 +86,8 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _read_config(path: str) -> dict:
-    with open(path) as f:
-        try:
-            return json.load(f, parse_int=_int64, parse_float=_finite,
-                             parse_constant=_finite)
-        except (ValueError, RecursionError) as e:  # long ints, deep nesting
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+    return read_json(path, "config", parse_int=_int64, parse_float=_finite,
+                     parse_constant=_finite)
 
 
 def _int64(text: str) -> int:
@@ -161,27 +158,11 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
         "outputs": sorted(outputs),
         "csv_schemas": CSV_SCHEMAS,
         "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished": _now(),
     }
     path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
-
-
-def _check_finite(path: str, obj, field: str = "") -> None:
-    """NumericError naming the first NaN or infinity in nested dicts and lists."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise NumericError(f"{path}: field {field} is not finite")
-    if isinstance(obj, (dict, list, tuple)):
-        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            _check_finite(path, value, f"{field}.{key}" if field else str(key))
-
-
-def _write_json(path: str, obj) -> None:
-    _check_finite(path, obj)
-    with atomic_write(path) as f:
-        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -268,7 +249,7 @@ def cmd_estimate(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
                            "enumeration_mean", ts.m_count)
 
     path = os.path.join(out_dir, "estimate.json")
-    _write_json(path, dataclasses.asdict(est))
+    write_json(path, dataclasses.asdict(est))
     return [path]
 
 
@@ -294,7 +275,7 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     if not sweep:
         report = evaluate_theorem(theorem, _bound_inputs(cfg), emp_rad=emp_rad)
         path = os.path.join(out_dir, "bounds.json")
-        _write_json(path, report.to_json())
+        write_json(path, report.to_json())
         return [path]
 
     params = sorted(sweep)
@@ -369,7 +350,7 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
     csv_path = os.path.join(out_dir, "complexity.csv")
     _write_csv(csv_path, header, rows)
     json_path = os.path.join(out_dir, "complexity.json")
-    _write_json(json_path, result)
+    write_json(json_path, result)
     return [csv_path, json_path]
 
 
@@ -391,7 +372,7 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     prefix = os.path.join(out_dir, "checkpoint")
     ck_json, ck_bin = save_checkpoint(report.model, prefix)
     path = os.path.join(out_dir, "report.json")
-    _write_json(path, report.to_json())
+    write_json(path, report.to_json())
     return [path, ck_json, ck_bin]
 
 

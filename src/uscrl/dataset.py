@@ -7,13 +7,13 @@ the :class:`LabeledDataset` container defined here.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .fileio import read_exact, read_payload
 
 
 @dataclass(frozen=True)
@@ -162,23 +162,6 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise FormatError(f"{what}: expected {count} bytes, got {len(buf)}")
-    return buf
-
-
-def _read_payload(f, count: int, what: str) -> bytes:
-    """The rest of the file, which must hold exactly count bytes; the claim
-    is checked against the file size before anything is read."""
-    have = os.fstat(f.fileno()).st_size - f.tell()
-    if have != count:
-        raise FormatError(f"{what}: expected {count} bytes, got {have}"
-                          + (" (trailing bytes)" if have > count else ""))
-    return f.read(count)
-
-
 def load_idx(images_path: str, labels_path: str,
              num_classes: int | None = None) -> LabeledDataset:
     """Load an IDX image/label file pair (the MNIST container format).
@@ -190,21 +173,21 @@ def load_idx(images_path: str, labels_path: str,
     """
 
     with open(images_path, "rb") as f:
-        head = _read_exact(f, 16, "images header")
+        head = read_exact(f, 16, "images header")
         magic, count, rows, cols = struct.unpack(">IIII", head)
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(
                 f"images magic: expected {_IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}")
         if rows == 0 or cols == 0:
             raise FormatError(f"images header: {rows} x {cols} images have no pixels")
-        payload = _read_payload(f, count * rows * cols, "images payload")
+        payload = read_payload(f, count * rows * cols, "images payload")
     with open(labels_path, "rb") as f:
-        head = _read_exact(f, 8, "labels header")
+        head = read_exact(f, 8, "labels header")
         magic, label_count = struct.unpack(">II", head)
         if magic != _IDX_LABELS_MAGIC:
             raise FormatError(
                 f"labels magic: expected {_IDX_LABELS_MAGIC:#010x}, got {magic:#010x}")
-        label_bytes = _read_payload(f, label_count, "labels payload")
+        label_bytes = read_payload(f, label_count, "labels payload")
     if label_count != count:
         raise FormatError(
             f"labels count: {label_count} labels for {count} images")

@@ -16,10 +16,8 @@ mean clipped tuple loss, including the zero gradient on clipped tuples.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import os
 import struct
 import sys
 import warnings
@@ -29,7 +27,8 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
-from .fileio import atomic_write
+from .fileio import (atomic_write, read_exact, read_json, read_payload,
+                     write_json)
 from .loss import LossSpec, _scores, _value_and_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
@@ -362,9 +361,7 @@ def save_checkpoint(model, path_prefix: str) -> tuple[str, str]:
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.weights)))
         for w in model.weights:
             f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    with atomic_write(json_path) as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(json_path, meta)
     return json_path, bin_path
 
 
@@ -375,11 +372,7 @@ def load_checkpoint(path_prefix: str):
     def bad(what: str) -> FormatError:
         return FormatError(f"checkpoint metadata {json_path}: {what}")
 
-    with open(json_path) as f:
-        try:
-            meta = json.load(f)
-        except (ValueError, RecursionError) as e:
-            raise bad(f"not valid JSON ({e})") from None
+    meta = read_json(json_path, f"checkpoint metadata {json_path}")
     if not isinstance(meta, dict):
         raise bad("not a JSON object")
     linear = meta.get("family") == "linear"
@@ -394,9 +387,9 @@ def load_checkpoint(path_prefix: str):
                     and all(type(v) is int and v > 0 for v in s) for s in shapes)):
         raise bad("shapes must be [rows, cols] pairs of positive ints")
     with open(bin_path, "rb") as f:
-        head = f.read(16)
-        if len(head) != 16 or head[:8] != CHECKPOINT_MAGIC:
-            raise FormatError("checkpoint magic: bad or truncated header")
+        head = read_exact(f, 16, "checkpoint header")
+        if head[:8] != CHECKPOINT_MAGIC:
+            raise FormatError("checkpoint magic: bad header")
         version, count = struct.unpack("<II", head[8:])
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"checkpoint version: unsupported {version}")
@@ -405,14 +398,11 @@ def load_checkpoint(path_prefix: str):
                 f"checkpoint arrays: blob has {count}, meta lists {len(shapes)}")
         # the shapes must account for the whole payload before any weight
         # is read; the model constructors then check caps and activations
-        need = 8 * sum(r * c for r, c in shapes)
-        have = os.fstat(f.fileno()).st_size - 16
-        if have != need:
-            raise FormatError(f"checkpoint payload: shapes claim {need} bytes, "
-                              f"blob holds {have} (" + ("truncated weight data"
-                              if have < need else "trailing bytes") + ")")
-        ws = [np.frombuffer(f.read(8 * r * c), dtype="<f8").reshape(r, c).copy()
-              for r, c in shapes]
+        sizes = [r * c for r, c in shapes]
+        flat = np.frombuffer(read_payload(f, 8 * sum(sizes),
+                                          "checkpoint payload"), dtype="<f8")
+    ws = [w.reshape(shape).copy() for w, shape
+          in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     try:
         if linear:
             return LinearModel(ws[0], max_col_sum=meta["max_col_sum"],

@@ -66,6 +66,11 @@ class RiskEstimate:
 _CHUNK = 1 << 16
 
 
+def child_seed(*parts) -> int:
+    """The first 32-bit word SeedSequence(parts) generates: one seed each."""
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
+
+
 def _loss_sums(spec, scores):
     """(sum, sumsq) of the clipped losses over an iterable of score arrays."""
     s = sq = 0.0
@@ -118,38 +123,36 @@ def _class_chunks(stat: str, mode, pos_idx, neg_idx, k: int, rng):
     """(anchors, positives, negatives) index chunks over one class's terms.
 
     Exact U: tuples.class_tuple_chunks, _CHUNK // C(N_c-, k) pairs (at
-    least one) per chunk. Exact V: ranks unpacked in mixed radix
-    (N_c+, N_c+, N_c-, ..., N_c-) into (anchor, positive, k negative
-    digits), one digit column at a time, so any k <= _CHUNK works (numpy
-    arrays have at most 64 axes). Monte Carlo U: num_draws
-    ordered pairs and k-subsets from rng, _CHUNK per chunk. Monte Carlo V:
-    all num_draws index tuples from rng in one draw.
+    least one) per chunk. Other modes take _CHUNK terms a chunk. Monte
+    Carlo U draws pairs and k-subsets; Monte Carlo V draws all anchors,
+    then all positives, then each chunk's negatives (the stream of one
+    (num_draws, k) draw, never formed). Exact V unpacks ranks in mixed
+    radix (N_c+, N_c+, N_c-, ..., N_c-), one digit column at a time, so
+    any k <= _CHUNK works (numpy arrays have at most 64 axes).
     """
     n_pos, n_neg = len(pos_idx), len(neg_idx)
-    if isinstance(mode, MonteCarlo):
-        b = mode.num_draws
-        if stat == "vstat":
-            j1 = rng.integers(0, n_pos, size=b)
-            j2 = rng.integers(0, n_pos, size=b)
-            dig = rng.integers(0, n_neg, size=(b, k))
-            yield pos_idx[j1], pos_idx[j2], neg_idx[dig]
-            return
-        for lo in range(0, b, _CHUNK):
-            yield draw_class_tuples(rng, pos_idx, neg_idx, k,
-                                    min(b, lo + _CHUNK) - lo)
+    mc = isinstance(mode, MonteCarlo)
+    if stat == "ustat" and not mc:
+        yield from class_tuple_chunks(pos_idx, neg_idx, k,
+                                      max(1, _CHUNK // math.comb(n_neg, k)))
         return
-    if stat == "vstat":
-        count = n_pos * n_pos * n_neg**k
-        for lo in range(0, count, _CHUNK):
-            rank = np.arange(lo, min(count, lo + _CHUNK))
-            digits = np.empty((rank.size, k), dtype=np.int64)
+    total = mode.num_draws if mc else n_pos * n_pos * n_neg**k
+    if stat == "vstat" and mc:
+        pairs = pos_idx[rng.integers(0, n_pos, size=(2, total))]
+    for lo in range(0, total, _CHUNK):
+        m = min(total, lo + _CHUNK) - lo
+        if stat == "ustat":
+            yield draw_class_tuples(rng, pos_idx, neg_idx, k, m)
+        elif mc:
+            yield (*pairs[:, lo:lo + m],
+                   neg_idx[rng.integers(0, n_neg, size=(m, k))])
+        else:
+            rank = np.arange(lo, lo + m)
+            digits = np.empty((m, k), dtype=np.int64)
             for j in range(k - 1, -1, -1):  # last negative fastest
                 rank, digits[:, j] = np.divmod(rank, n_neg)
             j1, j2 = np.divmod(rank, n_pos)
             yield pos_idx[j1], pos_idx[j2], neg_idx[digits]
-        return
-    yield from class_tuple_chunks(pos_idx, neg_idx, k,
-                                  max(1, _CHUNK // math.comb(n_neg, k)))
 
 
 def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
@@ -172,10 +175,8 @@ def _class_estimate(reps, stat: str, mode, pos_idx, neg_idx, k: int,
                         f"{mode.cap}")
     s = sq = 0.0
     n = 0
-    for anchors, positives, negatives in _class_chunks(stat, mode, pos_idx,
-                                                       neg_idx, k, rng):
-        cs, csq, cn = _chunked_loss_stats(reps, anchors, positives,
-                                          negatives, spec)
+    for chunk in _class_chunks(stat, mode, pos_idx, neg_idx, k, rng):
+        cs, csq, cn = _chunked_loss_stats(reps, *chunk, spec)
         s += cs
         sq += csq
         n += cn
@@ -189,7 +190,7 @@ def _overall(model, ds: LabeledDataset, k: int, spec: LossSpec, mode,
              stat: str) -> RiskEstimate:
     """Frequency-weighted sum of the feasible classes' U or V statistics.
 
-    Monte Carlo U seeds class c from SeedSequence((seed, c)). Monte Carlo V
+    Monte Carlo U seeds class c with child_seed(seed, c). Monte Carlo V
     draws every class from one default_rng(seed) stream, so adding a class
     shifts the draws of every later class; it stays that way so recorded
     V values reproduce.
@@ -207,8 +208,7 @@ def _overall(model, ds: LabeledDataset, k: int, spec: LossSpec, mode,
     n_terms = 0
     for c in range(ds.num_classes):
         if mc and stat == "ustat":
-            rng = np.random.default_rng(
-                np.random.SeedSequence((mode.seed, c)).generate_state(1)[0])
+            rng = np.random.default_rng(child_seed(mode.seed, c))
         est = _class_estimate(reps, stat, mode, *_class_split(ds, c), k,
                               spec, rng)
         if est.n_terms == 0:

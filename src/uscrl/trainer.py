@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
 from .model import (make_linear, make_mlp, mean_classifier, project,
                     tuple_batch_backward)
-from .risk import MonteCarlo, population_risk_mc, ustat_overall
+from .risk import MonteCarlo, child_seed, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
                      regime_tuples)
@@ -90,13 +90,8 @@ class TrainReport:
         return out
 
 
-def _child_seed(*parts) -> int:
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts))
-               .generate_state(1)[0])
-
-
 def _build_model(cfg: TrainConfig, in_dim: int):
-    seed = _child_seed(cfg.seed, 1)
+    seed = child_seed(cfg.seed, 1)
     if cfg.family == "linear":
         return make_linear(in_dim, cfg.out_dim, max_col_sum=cfg.max_col_sum,
                            max_spectral=cfg.spectral_cap, seed=seed)
@@ -106,7 +101,7 @@ def _build_model(cfg: TrainConfig, in_dim: int):
 
 
 def _draw_tuples(ds: LabeledDataset, cfg: TrainConfig, epoch: int) -> TupleSet:
-    return regime_tuples(ds, cfg.k, cfg.regime, _child_seed(cfg.seed, 2, epoch),
+    return regime_tuples(ds, cfg.k, cfg.regime, child_seed(cfg.seed, 2, epoch),
                          m_tuples=cfg.m_tuples, cap=cfg.cap)
 
 
@@ -118,7 +113,7 @@ def _evaluate(model, cfg: TrainConfig, spec: LossSpec, ds: LabeledDataset,
     ``holdout``, else none. ``with_probe`` adds the accuracy of the mean
     classifier fitted on the pool's representations, scored on fresh
     population draws, else on the holdout, else in-sample."""
-    seed = _child_seed(cfg.seed, 3)
+    seed = child_seed(cfg.seed, 3)
     est, test = None, ds
     if eval_spec is not None:
         est = population_risk_mc(model, eval_spec, cfg.k, spec,
@@ -126,7 +121,7 @@ def _evaluate(model, cfg: TrainConfig, spec: LossSpec, ds: LabeledDataset,
         if with_probe:
             test = generate_gaussian(
                 eval_spec, max(1000, 100 * eval_spec.num_classes),
-                seed=_child_seed(cfg.seed, 5))
+                seed=child_seed(cfg.seed, 5))
     elif holdout is not None:
         per_class = max(200, cfg.eval_draws // max(1, holdout.num_classes))
         est = ustat_overall(model, holdout, cfg.k, spec,
@@ -162,7 +157,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     spec = cfg.loss_spec()
     model = _build_model(cfg, ds.dim)
     velocity = [np.zeros_like(w) for w in model.weights]
-    rng = np.random.default_rng(_child_seed(cfg.seed, 0))
+    rng = np.random.default_rng(child_seed(cfg.seed, 0))
 
     fixed = tuples
     if fixed is None and not (cfg.regime == REGIME_SUB and cfg.resample_per_epoch):
@@ -232,7 +227,7 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
     for seed in seeds:
         base = replace(cfg, k=k, seed=int(seed))
         chosen = disjoint_tuples(pool, k, n_disjoint,
-                                 seed=_child_seed(seed, 10))
+                                 seed=child_seed(seed, 10))
 
         used = np.unique(np.concatenate(
             [chosen.anchors, chosen.positives, chosen.negatives.ravel()]))
@@ -248,7 +243,7 @@ def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
         for regime, m in runs:
             ds, ts = (pool, chosen) if regime == REGIME_IID else (
                 sub_pool, regime_tuples(sub_pool, k, regime,
-                                        _child_seed(seed, 12, m),
+                                        child_seed(seed, 12, m),
                                         m_tuples=m, cap=cfg.cap))
             report = train(ds, base, eval_spec=eval_spec, tuples=ts,
                            with_probe=True)
@@ -290,20 +285,20 @@ def sample_complexity_search(gspec: GaussianSpec, k: int, eps: float,
         report = train(generate_gaussian(gspec, n, seed=pool_seed), run_cfg)
         return population_risk_mc(
             report.model, gspec, k, spec, num_draws=cfg.eval_draws,
-            seed=_child_seed(cfg.seed, 92)).value
+            seed=child_seed(cfg.seed, 92)).value
 
     n_ref = ref_mult * hi
     ref_risk = risk_at(n_ref, replace(cfg, epochs=cfg.epochs * REF_EPOCH_MULT,
-                                      seed=_child_seed(cfg.seed, 90)),
-                       _child_seed(cfg.seed, 91))
+                                      seed=child_seed(cfg.seed, 90)),
+                       child_seed(cfg.seed, 91))
 
     per_seed = []
     for seed in seeds:
         log: list = []
 
         def made_target(n: int) -> bool:
-            gap = risk_at(n, replace(cfg, seed=_child_seed(seed, 93, n)),
-                          _child_seed(seed, 94, n)) - ref_risk
+            gap = risk_at(n, replace(cfg, seed=child_seed(seed, 93, n)),
+                          child_seed(seed, 94, n)) - ref_risk
             log.append({"n": n, "gap": gap})
             return gap <= eps
 

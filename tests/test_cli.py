@@ -19,6 +19,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,20 @@ class TestFamilyParams:
         assert code == 2
         assert "one entry per layer" in capsys.readouterr().err
 
+    def test_overflowing_network_product_exits_4_without_warning(
+            self, tmp_path, capsys):
+        # caps^2 overflows a double: the complexity term is infinite, which
+        # the writer refuses, and no numpy overflow warning comes first
+        fam = {**self.NN["family_params"], "caps": [1e300, 1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "bounds",
+                            {**self.NN, "family_params": fam})
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err == ("numeric error: " + str(out / "bounds.json")
+                       + ": field terms.complexity is not finite\n")
+
     def test_empty_layer_list_exits_2(self, tmp_path, capsys):
         fam = {**self.NN["family_params"], "caps": [], "xis": [],
                "widths": []}
@@ -732,6 +747,17 @@ def _overflowing_idx_config(tmp_path):
         "k": 1, "regime": "all_tuples"})
 
 
+BIG = 2**62
+BIG_DS = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
+          "n": 24}
+BIG_TRAIN = {"family": "linear", "out_dim": 2, "epochs": 1, "batch_size": 8,
+             "eval_draws": 30}
+BIG_REGIMES = {"dataset": BIG_DS, "n_disjoint": 2, "k": 1, "m_grid": [3],
+               "seeds": [0], "train": BIG_TRAIN}
+BIG_COMPLEXITY = {"dataset": BIG_DS, "k": 1, "eps": 0.5, "lo": 8, "hi": 16,
+                  "seeds": [0], "train": BIG_TRAIN}
+
+
 class TestMalformedInputExitCodes:
     @pytest.mark.parametrize("build", [
         _huge_int_config,
@@ -775,6 +801,7 @@ class TestMalformedInputExitCodes:
                                        "priors": [0.5, 0.5000000004, 1e-10]},
                            "k": 1, "regime": "iid_disjoint"}),
         _pixelless_idx_config,
+        _config("bounds", {**BOUNDS_CFG, "sweep": {"n": [], "k": [1, 2]}}),
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -787,7 +814,7 @@ class TestMalformedInputExitCodes:
             "bounds-n-integral-float", "priors-nan-token",
             "sigma-infinity-token", "sigma-literal-overflows-double",
             "gaussian-holdout-fraction", "priors-past-multinomial-slack",
-            "idx-images-without-pixels"])
+            "idx-images-without-pixels", "bounds-empty-sweep-axis"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -798,14 +825,49 @@ class TestMalformedInputExitCodes:
         assert code == 2, err
         assert "error:" in err and "Traceback" not in err
 
+    # train keys that the run would ignore: the protocol sets the tuples
+    # itself, or the chosen model family has no such part
+    @pytest.mark.parametrize("sub,cfg,key", [
+        (["experiment", "regimes"], {**BIG_REGIMES,
+         "train": {**BIG_TRAIN, "regime": "all_tuples"}}, "regime"),
+        (["experiment", "regimes"], {**BIG_REGIMES,
+         "train": {**BIG_TRAIN, "m_tuples": 5}}, "m_tuples"),
+        (["experiment", "regimes"], {**BIG_REGIMES,
+         "train": {**BIG_TRAIN, "resample_per_epoch": False}},
+         "resample_per_epoch"),
+        (["experiment", "complexity"], {**BIG_COMPLEXITY,
+         "train": {**BIG_TRAIN, "regime": "all_tuples"}}, "regime"),
+        (["experiment", "complexity"], {**BIG_COMPLEXITY,
+         "train": {**BIG_TRAIN, "m_tuples": 5}}, "m_tuples"),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "hidden": [4]}}, "hidden"),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "activations": None}},
+         "activations"),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {**BIG_TRAIN, "family": "mlp",
+                             "max_col_sum": 8.0}}, "max_col_sum"),
+        ("train", {"dataset": BIG_DS, "k": 1,
+                   "train": {"out_dim": 2, "epochs": 1,
+                             "max_col_sum": 8.0}}, "max_col_sum"),
+        (["experiment", "regimes"], {**BIG_REGIMES,
+         "train": {**BIG_TRAIN, "hidden": [4]}}, "hidden"),
+        (["experiment", "complexity"], {**BIG_COMPLEXITY,
+         "train": {**BIG_TRAIN, "family": "mlp", "max_col_sum": 8.0}},
+         "max_col_sum"),
+    ], ids=["regimes-regime", "regimes-m-tuples", "regimes-resample",
+            "complexity-regime", "complexity-m-tuples", "linear-hidden",
+            "linear-activations", "mlp-max-col-sum", "default-max-col-sum",
+            "regimes-linear-hidden", "complexity-mlp-max-col-sum"])
+    def test_ignored_train_key_exits_2_naming_it(self, tmp_path, capsys,
+                                                 sub, cfg, key):
+        code, _ = run(tmp_path, sub, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: config field train.{key}: ")
+        assert "Traceback" not in err
 
-BIG = 2**62
-BIG_DS = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.4,
-          "n": 24}
-BIG_TRAIN = {"family": "linear", "out_dim": 2, "epochs": 1, "batch_size": 8,
-             "eval_draws": 30}
-BIG_REGIMES = {"dataset": BIG_DS, "n_disjoint": 2, "k": 1, "m_grid": [3],
-               "seeds": [0], "train": BIG_TRAIN}
+
 
 
 class TestOversizedConfigs:
@@ -858,6 +920,8 @@ SMALL_VALUES = tuple(v for v in FUZZ_VALUES
                      or v <= 3)
 FUZZ_TRAIN = {"family": "linear", "out_dim": 2, "epochs": 1, "batch_size": 8,
               "lr": 0.1, "eval_draws": 3, "m_tuples": 3}
+# the experiments set each run's tuple count themselves and refuse m_tuples
+FUZZ_PROTOCOL_TRAIN = {k: v for k, v in FUZZ_TRAIN.items() if k != "m_tuples"}
 
 
 @pytest.fixture(scope="module")
@@ -885,11 +949,11 @@ def fuzz_bases(tmp_path_factory):
         "sweep": {"n": [50, 100], "k": [1, 2]}})
     bases["regimes"] = (["experiment", "regimes"], {
         "dataset": {**ds, "n": 24}, "n_disjoint": 2, "k": 1, "m_grid": [3],
-        "seeds": [0], "train": FUZZ_TRAIN, "seed": 0})
+        "seeds": [0], "train": FUZZ_PROTOCOL_TRAIN, "seed": 0})
     bases["complexity"] = (["experiment", "complexity"], {
         "dataset": ds, "k": 1, "eps": 100.0, "lo": 8, "hi": 16, "seeds": [0],
-        "search_tol": 8, "ref_mult": 1, "m_cap": 3, "train": FUZZ_TRAIN,
-        "seed": 0})
+        "search_tol": 8, "ref_mult": 1, "m_cap": 3,
+        "train": FUZZ_PROTOCOL_TRAIN, "seed": 0})
     bases["train-linear"] = ("train", {"dataset": ds, "k": 1,
                                        "train": FUZZ_TRAIN, "seed": 2})
     bases["train-mlp"] = ("train", {

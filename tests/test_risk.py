@@ -168,6 +168,22 @@ class TestMonteCarloStreams:
         assert (est.value, est.std_error) == want
         assert est.n_terms == 3 * self.DRAWS
 
+    def test_vstat_peak_memory_stays_near_one_chunk(self):
+        # 4 chunks of draws at k = 8: a (num_draws, k) negative array and
+        # its gathered indices would take 32 MiB; the anchors and
+        # positives of all draws (4 MiB each, drawn and gathered) and one
+        # chunk's negatives must stay under that
+        ds = make_pool([5, 6, 4], dim=4, seed=124)
+        model = rand_linear(4, 3, seed=125)
+        tracemalloc.start()
+        try:
+            vstat_overall(model, ds, 8, SPEC,
+                          mode=MonteCarlo(4 * _CHUNK, seed=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * (1 << 20), peak
+
 
 class TestDecoupled:
     def test_identity_permutation_blocks(self):

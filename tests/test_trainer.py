@@ -10,6 +10,7 @@ from uscrl.loss import default_clip
 from uscrl import trainer
 from uscrl.model import (mean_classifier, project, spectral_norm,
                          tuple_batch_backward)
+from uscrl.risk import child_seed
 from uscrl.trainer import (TrainConfig, compare_regimes,
                            sample_complexity_search, train)
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
@@ -130,7 +131,7 @@ class TestTrain:
         report = train(ds, cfg, tuples=ts)
 
         model = trainer._build_model(cfg, ds.dim)
-        rng = np.random.default_rng(trainer._child_seed(cfg.seed, 0))
+        rng = np.random.default_rng(child_seed(cfg.seed, 0))
         velocity = [np.zeros_like(w) for w in model.weights]
         for _ in range(cfg.epochs):
             order = rng.permutation(ts.m_count)
