@@ -2,9 +2,10 @@
 
 Every run validates its JSON config against the shipped schema, writes
 its outputs under --out, and drops a manifest.json recording the config
-hash, seeds and output names. Reruns with the same config, seed and BLAS
-thread count produce byte-identical result files (the manifest's
-timestamps aside).
+hash, seeds, output names and the environment (numpy, BLAS, the BLAS
+thread variables, Python and peak RSS). Reruns with the same config, seed
+and BLAS thread count produce byte-identical result files (the manifest's
+timestamps and peak RSS aside).
 
 Exit codes, held by the classes in errors.py: 0 success, 2 configuration
 error, 3 precondition failure or out of memory, 4 numeric failure.
@@ -23,8 +24,14 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 from importlib import resources
+
+try:
+    import resource
+except ImportError:  # no getrusage on Windows
+    resource = None
 
 import numpy as np
 
@@ -50,6 +57,10 @@ CSV_SCHEMAS = {
 }
 
 INT64 = 2**63  # config integers and seeds must lie in [-INT64, INT64)
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _schema():
@@ -159,6 +170,7 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
         "csv_schemas": CSV_SCHEMAS,
         "started": started,
         "finished": _now(),
+        "environment": _environment(),
     }
     path = os.path.join(out_dir, "manifest.json")
     write_json(path, manifest)
@@ -184,6 +196,30 @@ def _csv_cell(v):
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _environment() -> dict:
+    """numpy, BLAS, BLAS thread variables, Python and peak RSS of the run.
+
+    The BLAS name and version are null where numpy cannot say (no
+    show_config dicts before numpy 1.26). Peak RSS is the larger of this
+    process and its reaped children (the --jobs workers).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    peak_mb = None
+    if resource is not None:
+        # ru_maxrss counts bytes on macOS and KiB elsewhere
+        per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10
+        peak_mb = max(resource.getrusage(who).ru_maxrss for who in
+                      (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / per_mb
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+            "python": platform.python_version(),
+            "peak_rss_mb": peak_mb}
 
 
 def cmd_sample(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:

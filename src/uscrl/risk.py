@@ -272,9 +272,11 @@ def decoupled_block_estimate(model, ds: LabeledDataset, c: int, k: int,
 def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
                        chunk: int, rng):
     """Scores (m, k) of num_draws population tuples, m <= chunk draws at a
-    time; a chunk's m * (k + 2) input rows fill one reused buffer."""
+    time. A chunk (at most 2^21 input doubles) is the unit of rng calls
+    and loss sums; its m * (k + 2) input rows are drawn one forward piece
+    at a time into one reused buffer of at most _BLOCK rows."""
     n_cls, priors = gspec.num_classes, gspec.priors
-    buf = np.empty((min(chunk, num_draws) * (k + 2), gspec.dim))
+    buf = np.empty((min(_BLOCK, min(chunk, num_draws) * (k + 2)), gspec.dim))
     for done in range(0, num_draws, chunk):
         m = min(chunk, num_draws - done)
         rows = m * (k + 2)
@@ -286,12 +288,12 @@ def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
             negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
             bad = bad[negc[bad] == cls[bad // k]]
         rowcls = np.concatenate([cls, cls, negc])
-        rng.standard_normal(out=buf[:rows])
         reps = np.empty((rows, model.weights[-1].shape[0]))
         pieces = -(-rows // _BLOCK)
         for i in range(pieces):
             lo, hi = rows * i // pieces, rows * (i + 1) // pieces
-            xp = buf[lo:hi]
+            xp = buf[:hi - lo]
+            rng.standard_normal(out=xp)
             xp *= gspec.sigma
             xp += gspec.centers[rowcls[lo:hi]]  # center + sigma * z
             reps[lo:hi] = model.forward(xp)
@@ -312,17 +314,20 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     with its own fresh sample.
 
     One generator draws, forwards and scores chunks of at most 2^21 input
-    doubles in one reused buffer. Per chunk it draws the classes, the
-    negative classes, then one standard_normal call for the anchor,
-    positive and negative rows in that order (the stream of three separate
-    draws). It walks the rows in even pieces of at most _BLOCK rows,
-    applies sigma and the class centers in place, forwards each piece into
-    the chunk's representations and scores those _BLOCK tuples at a time.
-    A chunk of at most _BLOCK rows is one piece, and no piece of a larger
-    one has fewer than _BLOCK / 2 rows: a BLAS may round a matmul of a few
-    rows differently, but pieces of 512 rows or more forwarded to the bytes
-    of the whole chunk in every case checked. The losses are summed per
-    chunk. A k whose single draw would not fit a chunk is refused.
+    doubles; a chunk is the unit of rng calls and loss sums. Per chunk it
+    draws the classes, the negative classes, then the normals of the
+    anchor, positive and negative rows in that order, before the next
+    chunk's classes. It walks the rows in even pieces of at most _BLOCK
+    rows and draws each piece's normals into one reused buffer of at most
+    _BLOCK rows (numpy's float64 normal stream is the same whether drawn
+    in one call or several), applies sigma and the class centers in
+    place, forwards the piece into the chunk's representations and scores
+    those _BLOCK tuples at a time. A chunk of at most _BLOCK rows is one
+    piece, and no piece of a larger one has fewer than _BLOCK / 2 rows: a
+    BLAS may round a matmul of a few rows differently, but pieces of 512
+    rows or more forwarded to the bytes of the whole chunk in every case
+    checked. The losses are summed per chunk. A k whose single draw would
+    not fit a chunk is refused.
     """
 
     if gspec.num_classes < 2:

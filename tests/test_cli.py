@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -111,7 +112,9 @@ class TestSample:
         assert "sampled 72 tuple(s)" in stdout
         assert "wrote 1 output(s)" in stdout
 
-    def test_manifest_records_run(self, tmp_path):
+    def test_manifest_records_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        monkeypatch.delenv("BLIS_NUM_THREADS", raising=False)
         cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples", "seed": TOY_SEED}
         code, out = run(tmp_path, "sample", cfg)
         assert code == 0
@@ -126,6 +129,26 @@ class TestSample:
         assert man["csv_schemas"] == {"bounds_sweep": "bounds-sweep-v1",
                                       "regimes": "regimes-v1",
                                       "complexity": "complexity-v1"}
+        env = man["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert set(env["blas"]) == {"name", "version"}
+        assert all(v is None or isinstance(v, str)
+                   for v in env["blas"].values())
+        assert env["blas_threads"] == {v: os.environ.get(v)
+                                       for v in cli.BLAS_THREAD_VARS}
+        assert len(env["blas_threads"]) == 6
+        assert env["blas_threads"]["MKL_NUM_THREADS"] == "3"
+        assert env["blas_threads"]["BLIS_NUM_THREADS"] is None
+        assert env["peak_rss_mb"] > 0
+
+    def test_manifest_blas_is_null_where_numpy_cannot_say(self, monkeypatch):
+        def old_show_config(mode=None):  # numpy < 1.26 takes no mode
+            if mode is not None:
+                raise TypeError("show_config() got an unexpected keyword")
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert cli._environment()["blas"] == {"name": None, "version": None}
 
     def test_iid_lines_are_globally_disjoint(self, tmp_path, capsys):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,

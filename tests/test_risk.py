@@ -457,10 +457,17 @@ class TestPopulationRisk:
         chunk = (1 << 21) // ((2 + 2) * 4)
         self._check_oracle(4, 2, family, chunk + 37, out_dim=16)
 
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_oracle_in_one_chunk_shorter_than_a_piece(self, family):
+        # 37 draws at dim 96, k 3: the only chunk is 185 rows, one piece
+        # shorter than _BLOCK, so the draw buffer is sized by num_draws
+        self._check_oracle(96, 3, family, 37)
+
     def test_peak_memory_stays_near_one_chunk(self):
-        # one chunk holds 2^21 input doubles (16 MiB); the draws, the
-        # piecewise forward pass and the scores of a chunk must fit in 1.5
-        # of those
+        # one chunk holds 2^21 input doubles (16 MiB), but its normals are
+        # drawn one piece of at most _BLOCK rows at a time: the piecewise
+        # draws, forward pass and the chunk's scores must fit in 0.75 of a
+        # chunk, which a chunk-sized draw buffer alone would fill
         spec_g = GaussianSpec.random(3, dim=96, seed=17)
         model = rand_mlp([96, 64, 8], seed=18)
         tracemalloc.start()
@@ -469,12 +476,13 @@ class TestPopulationRisk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * (1 << 21), peak
+        assert peak < 0.75 * 8 * (1 << 21), peak
 
     def test_peak_memory_linear_stays_near_one_chunk(self):
         # at dim 8 a chunk is 65,536 draws of 262,144 rows: the chunk's
         # (rows, 6) representations and row classes, not a piece's
-        # temporaries, set the peak
+        # temporaries, set the peak; a chunk-sized draw buffer on top of
+        # them would pass 1.5 chunks
         spec_g = GaussianSpec.random(3, dim=8, seed=17)
         model = rand_linear(8, 6, seed=18)
         tracemalloc.start()
@@ -483,7 +491,7 @@ class TestPopulationRisk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * (1 << 21), peak
+        assert peak < 1.5 * 8 * (1 << 21), peak
 
     def test_validation(self):
         one_class = GaussianSpec.random(1, dim=3, seed=0)
