@@ -1,11 +1,11 @@
 """Representation models with norm constraints, plus the mean classifier.
 
-Two families share one forward/backward core:
-
-* ``LinearModel``: x -> A x with caps on the spectral norm of A and on
-  the (2,1)-norm of A^T (sum of Euclidean norms of A's rows).
-* ``MlpModel``: composition of linear layers and 1-Lipschitz activations,
-  each layer under its own spectral cap.
+One layered class, ``MlpModel``, composes linear layers and 1-Lipschitz
+activations, each layer under its own spectral cap. The linear family
+x -> A x is its one-layer identity case with one more cap, on the
+(2,1)-norm of A^T (the sum of the Euclidean norms of A's rows);
+``LinearModel`` only builds it. Checkpoints record the family as
+``"linear"`` or ``"mlp"`` by whether that cap is set.
 
 Constraints are enforced by multiplicative projection after every SGD
 step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
@@ -76,79 +76,53 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 @dataclass
-class LinearModel:
-    a_mat: np.ndarray          # (out_dim, in_dim)
-    max_col_sum: float         # cap on ||A^T||_{2,1}
-    max_spectral: float
-
-    def __post_init__(self):
-        self.a_mat = np.asarray(self.a_mat, dtype=np.float64)
-        if self.a_mat.ndim != 2:
-            raise ConfigError("a_mat must be a matrix")
-        _check_caps([self.max_col_sum, self.max_spectral])
-
-    @property
-    def in_dim(self) -> int:
-        return self.a_mat.shape[1]
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return [self.a_mat]
-
-    @property
-    def activations(self) -> list[str]:
-        return ["identity"]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.a_mat.T
-
-    def set_weights(self, ws):
-        (self.a_mat,) = ws
-
-
-@dataclass
 class MlpModel:
-    layer_weights: list        # [(d_1, d_0), (d_2, d_1), ...]
+    weights: list              # [(d_1, d_0), (d_2, d_1), ...]
     spectral_caps: list        # per-layer cap s_l
-    layer_activations: list    # per-layer activation kind
+    activations: list          # per-layer activation kind
+    max_col_sum: float | None = None  # linear family: ||W^T||_{2,1} cap
 
     def __post_init__(self):
-        self.layer_weights = [np.asarray(w, dtype=np.float64) for w in self.layer_weights]
-        L = len(self.layer_weights)
+        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        L = len(self.weights)
         if L == 0:
             raise ConfigError("at least one layer required")
-        caps, acts = self.spectral_caps, self.layer_activations
+        if any(w.ndim != 2 for w in self.weights):
+            raise ConfigError("every layer weight must be a matrix")
+        caps, acts = self.spectral_caps, self.activations
         if not (isinstance(caps, (list, tuple)) and isinstance(acts, (list, tuple))
                 and len(caps) == L == len(acts)):
             raise ConfigError("caps/activations must be lists, one per layer")
         for l in range(1, L):
-            if self.layer_weights[l].shape[1] != self.layer_weights[l - 1].shape[0]:
+            if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
                 raise ConfigError(f"layer {l} input dim mismatch")
         _check_caps(caps)
         for kind in acts:
             if not isinstance(kind, str) or kind not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {kind!r}")
+        if self.max_col_sum is not None:
+            if list(acts) != ["identity"]:
+                raise ConfigError("max_col_sum caps a single identity layer")
+            _check_caps([self.max_col_sum])
 
     @property
     def in_dim(self) -> int:
-        return self.layer_weights[0].shape[1]
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return self.layer_weights
-
-    @property
-    def activations(self) -> list[str]:
-        return self.layer_activations
+        return self.weights[0].shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
-        for w, kind in zip(self.layer_weights, self.layer_activations):
+        for w, kind in zip(self.weights, self.activations):
             h = _layer(w, kind, h)
         return h
 
-    def set_weights(self, ws):
-        self.layer_weights = list(ws)
+
+class LinearModel(MlpModel):
+    def __init__(self, a, max_col_sum, max_spectral):
+        super().__init__([a], [max_spectral], ["identity"], max_col_sum)
+
+    # a binding of its own: benchmarks/tracing.py wraps each model class's
+    # forward as found in that class's __dict__
+    forward = MlpModel.forward
 
 
 def make_linear(in_dim: int, out_dim: int, max_col_sum: float,
@@ -157,8 +131,8 @@ def make_linear(in_dim: int, out_dim: int, max_col_sum: float,
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(in_dim)
     a = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    model = LinearModel(a, max_col_sum=max_col_sum, max_spectral=max_spectral)
-    return project(model)
+    return project(LinearModel(a, max_col_sum=max_col_sum,
+                               max_spectral=max_spectral))
 
 
 def make_mlp(widths, spectral_caps, seed: int,
@@ -177,7 +151,7 @@ def make_mlp(widths, spectral_caps, seed: int,
     return project(MlpModel(ws, list(spectral_caps), list(activations)))
 
 
-def _cap_spectral(w: np.ndarray, cap: float, fro=None) -> np.ndarray:
+def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
     """w scaled down to spectral norm cap; w itself when the cap is slack.
 
     Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2 is
@@ -186,7 +160,7 @@ def _cap_spectral(w: np.ndarray, cap: float, fro=None) -> np.ndarray:
     the first test and skip the second, so they reach spectral_norm's check.
     """
 
-    fro = np.linalg.norm(w) if fro is None else fro  # the caller's ||w||_F
+    fro = np.linalg.norm(w)
     if fro <= cap:
         return w
     if math.isfinite(fro):
@@ -204,20 +178,15 @@ def project(model):
     pass lands exactly on (or inside) each cap.
     """
 
-    if isinstance(model, LinearModel):
-        # squared row norms, the reduction np.linalg.norm(a, axis=1) does,
-        # give both the Frobenius norm and ||A^T||_{2,1}
-        a, sq = model.a_mat, (model.a_mat * model.a_mat).sum(axis=1)
-        capped = _cap_spectral(a, model.max_spectral, math.sqrt(sq.sum()))
-        if capped is not a:
-            a, sq = capped, (capped * capped).sum(axis=1)
-        cs = float(np.sqrt(sq).sum())
-        if cs > model.max_col_sum:
-            a = a * (model.max_col_sum / cs)
-        model.a_mat = a
-        return model
-    for l, (w, cap) in enumerate(zip(model.layer_weights, model.spectral_caps)):
-        model.layer_weights[l] = _cap_spectral(w, cap)
+    for l, (w, cap) in enumerate(zip(model.weights, model.spectral_caps)):
+        w = _cap_spectral(w, cap)
+        if model.max_col_sum is not None:
+            # ||W^T||_{2,1} from squared row norms, the reduction
+            # np.linalg.norm(w, axis=1) does
+            cs = float(np.sqrt((w * w).sum(axis=1)).sum())
+            if cs > model.max_col_sum:
+                w = w * (model.max_col_sum / cs)
+        model.weights[l] = w
     return model
 
 
@@ -334,15 +303,15 @@ def mean_classifier(reps: np.ndarray, labels: np.ndarray, num_classes: int,
 
 
 def _model_meta(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {"family": "linear",
-                "shapes": [list(model.a_mat.shape)],
+    """The checkpoint's family and constraints; linear caps as given."""
+    shapes = [list(w.shape) for w in model.weights]
+    if model.max_col_sum is not None:
+        return {"family": "linear", "shapes": shapes,
                 "max_col_sum": model.max_col_sum,
-                "max_spectral": model.max_spectral}
-    return {"family": "mlp",
-            "shapes": [list(w.shape) for w in model.layer_weights],
+                "max_spectral": model.spectral_caps[0]}
+    return {"family": "mlp", "shapes": shapes,
             "spectral_caps": [float(s) for s in model.spectral_caps],
-            "activations": list(model.layer_activations)}
+            "activations": list(model.activations)}
 
 
 def save_checkpoint(model, path_prefix: str) -> tuple[str, str]:
@@ -375,7 +344,10 @@ def load_checkpoint(path_prefix: str):
     meta = read_json(json_path, f"checkpoint metadata {json_path}")
     if not isinstance(meta, dict):
         raise bad("not a JSON object")
-    linear = meta.get("family") == "linear"
+    family = meta.get("family", "mlp")  # a missing family is named below
+    if family not in ("linear", "mlp"):
+        raise bad(f"family must be \"linear\" or \"mlp\", not {family!r}")
+    linear = family == "linear"
     keys = ["family", "shapes"] + (["max_col_sum", "max_spectral"] if linear
                                    else ["spectral_caps", "activations"])
     missing = [key for key in keys if key not in meta]

@@ -16,7 +16,7 @@ reference model's population risk.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,9 +85,9 @@ class TrainReport:
     model: object = field(repr=False, compare=False, default=None)
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out.pop("model")
-        return out
+        """Every field but the model, whose weights asdict would copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "model"}
 
 
 def _build_model(cfg: TrainConfig, in_dim: int):
@@ -188,8 +188,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
             for v, g in zip(velocity, grads):
                 v *= cfg.momentum
                 v += g
-            model.set_weights([w - cfg.lr * v
-                               for w, v in zip(model.weights, velocity)])
+            model.weights = [w - cfg.lr * v
+                             for w, v in zip(model.weights, velocity)]
             project(model)
             loss_sum += batch_loss * idx.size
             n_steps += 1

@@ -444,9 +444,9 @@ def test_gradients_and_projection_match_reference():
 
     worst_proj = 0.0
     lin = rand_linear(6, 4, seed=420, max_col_sum=1e9, max_spectral=1.25)
-    lin.a_mat *= 5.0
+    lin.weights[0] *= 5.0
     project(lin)
-    sv = np.linalg.svd(lin.a_mat, compute_uv=False)[0]
+    sv = np.linalg.svd(lin.weights[0], compute_uv=False)[0]
     worst_proj = max(worst_proj, abs(sv - 1.25))
     net = rand_mlp([5, 7, 3], seed=421, cap=0.9)
     for w in net.weights:

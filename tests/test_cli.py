@@ -483,6 +483,11 @@ class TestEstimate:
         ("{not json", "not valid JSON"),
         (json.dumps({"family": "linear", "max_col_sum": 8.0,
                      "max_spectral": 2.0}), "missing key(s) shapes"),
+        # full network metadata under an unknown family is refused, not
+        # loaded as a network
+        *[(json.dumps({"family": family, "shapes": [[3, 4]],
+                       "spectral_caps": [2.0], "activations": ["identity"]}),
+           "family must be") for family in ("cnn", 7)],
     ])
     def test_malformed_checkpoint_metadata_exits_2(self, tmp_path, capsys,
                                                     meta, needle):
@@ -1171,7 +1176,7 @@ class TestTrain:
         assert np.isfinite(rep["epoch_losses"][-1])
         assert "wall_seconds" not in rep
         model = load_checkpoint(str(out / "checkpoint"))
-        assert model.in_dim == 4 and model.a_mat.shape == (3, 4)
+        assert model.in_dim == 4 and model.weights[0].shape == (3, 4)
 
     def test_train_rerun_checkpoint_identical(self, tmp_path):
         ds = {"type": "gaussian", "num_classes": 3, "dim": 4, "sigma": 0.3,

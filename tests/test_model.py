@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -64,7 +65,8 @@ class TestSpectralNorm:
         model = LinearModel(np.array([[3.0, 4.0], [0.0, 2.0]]),
                             max_col_sum=3.5, max_spectral=100.0)
         project(model)
-        np.testing.assert_array_equal(model.a_mat, [[1.5, 2.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(model.weights[0],
+                                      [[1.5, 2.0], [0.0, 1.0]])
 
 
 class TestForward:
@@ -96,6 +98,14 @@ class TestForward:
             MlpModel([w1], [0.0], ["relu"])
         with pytest.raises(ConfigError):
             MlpModel([], [], [])
+        with pytest.raises(ConfigError, match="matrix"):
+            MlpModel([np.ones(3)], [1.0], ["relu"])
+        # the (2,1) cap belongs to the linear family: one identity layer
+        with pytest.raises(ConfigError, match="max_col_sum"):
+            MlpModel([w1, np.zeros((1, 3))], [1.0, 1.0],
+                     ["identity", "identity"], max_col_sum=1.0)
+        with pytest.raises(ConfigError, match="max_col_sum"):
+            MlpModel([w1], [1.0], ["relu"], max_col_sum=1.0)
 
     def test_linear_validation(self):
         with pytest.raises(ConfigError):
@@ -107,12 +117,12 @@ class TestInitAndProjection:
         a = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=3)
         b = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=3)
         c = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=4)
-        np.testing.assert_array_equal(a.a_mat, b.a_mat)
-        assert not np.array_equal(a.a_mat, c.a_mat)
+        np.testing.assert_array_equal(a.weights[0], b.weights[0])
+        assert not np.array_equal(a.weights[0], c.weights[0])
 
     def test_init_respects_fan_in_bound(self):
         model = make_mlp([16, 8, 4], 100.0, seed=0)
-        for w, fan_in in zip(model.layer_weights, [16, 8]):
+        for w, fan_in in zip(model.weights, [16, 8]):
             assert np.max(np.abs(w)) <= 1.0 / math.sqrt(fan_in)
 
     def test_projection_hits_caps_against_svd(self):
@@ -120,14 +130,15 @@ class TestInitAndProjection:
         model = LinearModel(5.0 * rng.standard_normal((8, 12)),
                             max_col_sum=6.0, max_spectral=2.0)
         project(model)
-        svd_sigma = np.linalg.svd(model.a_mat, compute_uv=False)[0]
+        svd_sigma = np.linalg.svd(model.weights[0], compute_uv=False)[0]
         assert svd_sigma <= 2.0 * (1 + 1e-6)
-        assert np.linalg.norm(model.a_mat, axis=1).sum() <= 6.0 * (1 + 1e-9)
+        col_sum = np.linalg.norm(model.weights[0], axis=1).sum()
+        assert col_sum <= 6.0 * (1 + 1e-9)
         # rank one: the spectral norm equals the Frobenius norm, just above cap
         mlp = MlpModel([1.001 * np.outer([0.6, 0.8], [1.0, 0.0, 0.0])],
                        [1.0], ["identity"])
         project(mlp)
-        svd_sigma = np.linalg.svd(mlp.layer_weights[0], compute_uv=False)[0]
+        svd_sigma = np.linalg.svd(mlp.weights[0], compute_uv=False)[0]
         assert svd_sigma == pytest.approx(1.0, rel=1e-12)
 
     def test_projection_is_multiplicative(self):
@@ -136,7 +147,7 @@ class TestInitAndProjection:
         model = LinearModel(a.copy(), max_col_sum=1.0, max_spectral=0.5)
         project(model)
         # scaled copy: direction preserved
-        ratio = model.a_mat / a
+        ratio = model.weights[0] / a
         assert np.allclose(ratio, ratio.flat[0])
 
     def test_projection_idempotent(self):
@@ -145,9 +156,9 @@ class TestInitAndProjection:
                           3.0 * rng.standard_normal((4, 6))],
                          [1.5, 1.5], ["relu", "identity"])
         project(model)
-        first = [w.copy() for w in model.layer_weights]
+        first = [w.copy() for w in model.weights]
         project(model)
-        for w0, w1 in zip(first, model.layer_weights):
+        for w0, w1 in zip(first, model.weights):
             np.testing.assert_allclose(w1, w0, rtol=1e-9, atol=0)
 
     def test_projection_no_op_inside_caps(self):
@@ -155,13 +166,13 @@ class TestInitAndProjection:
         a = 0.01 * rng.standard_normal((3, 3))
         model = LinearModel(a.copy(), max_col_sum=10.0, max_spectral=10.0)
         project(model)
-        np.testing.assert_array_equal(model.a_mat, a)
+        np.testing.assert_array_equal(model.weights[0], a)
         # ||W||_F == cap still certifies ||W||_2 <= cap: bit-for-bit unchanged
         ws = [rng.standard_normal((6, 5)), rng.standard_normal((4, 6))]
         mlp = MlpModel([w.copy() for w in ws], [np.linalg.norm(w) for w in ws],
                        ["relu", "identity"])
         project(mlp)
-        for w0, w1 in zip(ws, mlp.layer_weights):
+        for w0, w1 in zip(ws, mlp.weights):
             np.testing.assert_array_equal(w1, w0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -173,7 +184,7 @@ class TestInitAndProjection:
             with pytest.raises(NumericError):
                 project(LinearModel(a, max_col_sum=10.0, max_spectral=10.0))
             model = rand_mlp([3, 4, 2], seed=2)
-            model.layer_weights[1][0, 0] = bad
+            model.weights[1][0, 0] = bad
             with pytest.raises(NumericError):
                 project(model)
 
@@ -244,7 +255,7 @@ class TestGramCertificate:
         monkeypatch.setattr(model_mod, "spectral_norm", _no_svd)
         mlp = MlpModel([w.copy() for w in ws], caps, ["relu", "identity"])
         project(mlp)
-        for w0, w1 in zip(ws, mlp.layer_weights):
+        for w0, w1 in zip(ws, mlp.weights):
             np.testing.assert_array_equal(w1, w0)
 
 
@@ -368,7 +379,8 @@ class TestBackward:
         assert 0 < (raw >= spec.clip).sum() < ts.m_count
         grads, loss = tuple_batch_backward(model, ds, ts.anchors,
                                            ts.positives, ts.negatives, spec)
-        want = naive_batch_grad(model.a_mat, ds.x, ts.anchors, ts.positives,
+        (a,) = model.weights
+        want = naive_batch_grad(a, ds.x, ts.anchors, ts.positives,
                                 ts.negatives, kind, spec.clip)
         np.testing.assert_allclose(grads[0], want, rtol=1e-12)
         assert loss == pytest.approx(np.minimum(raw, spec.clip).mean(),
@@ -383,8 +395,8 @@ class TestBackward:
         ts = subsample_tuples(ds, 2, m_tuples, seed=47)
         ds.x[ts.anchors[0]] = 0.0
         model = rand_mlp([5, 7, 6, 4], seed=46)
-        model.layer_weights[0][2] = 0.0
-        model.layer_weights[1][4] = 0.0
+        model.weights[0][2] = 0.0
+        model.weights[1][4] = 0.0
         seen = []
         backprop = model_mod._backprop
 
@@ -489,9 +501,9 @@ class TestCheckpoints:
         jp, bp = save_checkpoint(model, prefix)
         assert jp.endswith(".json") and bp.endswith(".bin")
         back = load_checkpoint(prefix)
-        assert isinstance(back, LinearModel)
-        np.testing.assert_array_equal(back.a_mat, model.a_mat)
-        assert back.max_col_sum == 7.0 and back.max_spectral == 2.0
+        assert type(back) is LinearModel
+        np.testing.assert_array_equal(back.weights[0], model.weights[0])
+        assert back.max_col_sum == 7.0 and back.spectral_caps == [2.0]
 
     def test_mlp_round_trip(self, tmp_path):
         model = rand_mlp([4, 6, 2], seed=41, cap=3.0,
@@ -499,11 +511,31 @@ class TestCheckpoints:
         prefix = str(tmp_path / "net")
         save_checkpoint(model, prefix)
         back = load_checkpoint(prefix)
-        assert isinstance(back, MlpModel)
-        for w0, w1 in zip(model.layer_weights, back.layer_weights):
+        assert type(back) is MlpModel
+        for w0, w1 in zip(model.weights, back.weights):
             np.testing.assert_array_equal(w0, w1)
         assert back.spectral_caps == [3.0, 3.0]
-        assert back.layer_activations == ["relu", "identity"]
+        assert back.activations == ["relu", "identity"]
+
+    @pytest.mark.parametrize("name,json_sha,bin_sha", [
+        ("lin",
+         "ad7727148c8c91ea135f3630342b9f672e77d715dd0eee78a27325171d80c5e8",
+         "f77f5b709182e16968d77417f6b6282170441ba8ebd717763eac140087149f19"),
+        ("mlp",
+         "9475a0e1b152915b5b1c5263737ca705296671f29b4023168f865d7dbdb2e742",
+         "ffe9625606e25ab06ab31be0e9f755976c477b79e230307a10a61445eab3d827"),
+    ])
+    def test_format_is_pinned(self, tmp_path, name, json_sha, bin_sha):
+        # linear caps are written as given (2, not 2.0), network caps as floats
+        if name == "lin":
+            model = LinearModel(0.4 * np.eye(3, 4), max_col_sum=8,
+                                max_spectral=2)
+        else:
+            model = MlpModel([0.5 * np.eye(3, 4), 0.25 * np.ones((2, 3))],
+                             [3, 3.0], ["relu", "identity"])
+        jp, bp = save_checkpoint(model, str(tmp_path / name))
+        assert hashlib.sha256(open(jp, "rb").read()).hexdigest() == json_sha
+        assert hashlib.sha256(open(bp, "rb").read()).hexdigest() == bin_sha
 
     def test_blob_header_layout(self, tmp_path):
         model = rand_linear(3, 2, seed=42)

@@ -141,8 +141,8 @@ class TestTrain:
                     model, ds, ts.anchors[idx], ts.positives[idx],
                     ts.negatives[idx], cfg.loss_spec())
                 velocity = [0.5 * v + g for v, g in zip(velocity, grads)]
-                model.set_weights([w - cfg.lr * v
-                                   for w, v in zip(model.weights, velocity)])
+                model.weights = [w - cfg.lr * v
+                                 for w, v in zip(model.weights, velocity)]
                 project(model)
         assert ([w.tobytes() for w in report.model.weights]
                 == [w.tobytes() for w in model.weights])
