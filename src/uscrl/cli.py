@@ -148,13 +148,11 @@ def _tuple_pool(cfg: dict, seed: int) -> LabeledDataset:
     return ds
 
 
-def _train_config(cfg: dict, k: int, seed: int) -> TrainConfig:
-    over = dict(cfg.get("train", {}))
-    if "hidden" in over:
-        over["hidden"] = tuple(over["hidden"])
-    if "activations" in over and over["activations"] is not None:
-        over["activations"] = tuple(over["activations"])
-    return TrainConfig(k=k, seed=seed, **over)
+def _train_config(cfg: dict, seed: int) -> TrainConfig:
+    # hidden and activations are the train keys that hold lists
+    over = {key: tuple(v) if isinstance(v, list) else v
+            for key, v in cfg.get("train", {}).items()}
+    return TrainConfig(k=cfg["k"], seed=seed, **over)
 
 
 def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
@@ -337,31 +335,35 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
 
 
 def _regimes_worker(args):
-    pool, cfg, k, seed = args
-    gspec = _gaussian_spec(cfg["dataset"])
-    tcfg = _train_config(cfg, k, seed)
-    return compare_regimes(pool, cfg["n_disjoint"], k, cfg["m_grid"],
-                           [seed], tcfg, eval_spec=gspec)
+    pool, cfg, seed = args
+    return compare_regimes(pool, cfg["n_disjoint"], cfg["m_grid"],
+                           _train_config(cfg, seed),
+                           eval_spec=_gaussian_spec(cfg["dataset"]))
 
 
 def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
                            jobs: int) -> list[str]:
     pool = _tuple_pool(cfg, seed)
-    k = cfg["k"]
-    tasks = [(pool, cfg, k, int(s)) for s in cfg["seeds"]]
+    seeds = [int(s) for s in cfg["seeds"]]
     chunks = []
-    executor = contextlib.nullcontext()
+    executor, broken = contextlib.nullcontext(), ()
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+        # a worker that dies, say killed for memory, breaks the pool
+        executor = ProcessPoolExecutor(max_workers=min(jobs, len(seeds)))
+        broken = (BrokenExecutor,)
     with executor as ex:
-        results = (ex.map if ex else map)(_regimes_worker, tasks)
-        for i, t in enumerate(tasks):
-            try:
+        try:
+            results = (ex.map if ex else map)(
+                _regimes_worker, [(pool, cfg, s) for s in seeds])
+            for _ in seeds:
                 chunks.append(next(results))
-            except UscrlError as e:
-                raise type(e)(f"job {i} (seed {t[3]}): {e}") from None
+        except (UscrlError, *broken) as e:
+            e = e if isinstance(e, UscrlError) else PreconditionError(
+                "worker process ended abruptly (out of memory?)")
+            i = len(chunks)
+            raise type(e)(f"job {i} (seed {seeds[i]}): {e}") from None
     rows = [r for chunk in chunks for r in chunk]
     header = list(rows[0])  # seeds is non-empty and each seed has an iid row
     path = os.path.join(out_dir, "regimes.csv")
@@ -373,10 +375,9 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
                               jobs: int) -> list[str]:
     gspec = _gaussian_spec(cfg["dataset"])
     k = cfg["k"]
-    tcfg = _train_config(cfg, k, seed)
     result = sample_complexity_search(
         gspec, k, cfg["eps"], cfg["lo"], cfg["hi"],
-        [int(s) for s in cfg["seeds"]], tcfg,
+        [int(s) for s in cfg["seeds"]], _train_config(cfg, seed),
         **_given(cfg, "search_tol", "ref_mult", "m_cap"))
     header = ["k", "num_classes", "eps", "seed", "reached", "n_eps",
               "gap_at_hi", "reference_risk", "mean_n_eps"]
@@ -394,8 +395,7 @@ def cmd_train(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     if cfg["dataset"]["type"] == "gaussian" and "holdout_fraction" in cfg:
         raise ConfigError("config field holdout_fraction: a gaussian dataset "
                           "is evaluated on its population, not a held-out split")
-    k = cfg["k"]
-    tcfg = _train_config(cfg, k, seed)
+    tcfg = _train_config(cfg, seed)
     ds = _tuple_pool(cfg, seed)
     eval_spec = holdout = None
     if cfg["dataset"]["type"] == "gaussian":

@@ -3,9 +3,9 @@
 One layered class, ``MlpModel``, composes linear layers and 1-Lipschitz
 activations, each layer under its own spectral cap. The linear family
 x -> A x is its one-layer identity case with one more cap, on the
-(2,1)-norm of A^T (the sum of the Euclidean norms of A's rows);
-``LinearModel`` only builds it. Checkpoints record the family as
-``"linear"`` or ``"mlp"`` by whether that cap is set.
+(2,1)-norm of A^T (the sum of the Euclidean norms of A's rows).
+``make_mlp`` builds and initializes both families. Checkpoints record the
+family as ``"linear"`` or ``"mlp"`` by whether that cap is set.
 
 Constraints are enforced by multiplicative projection after every SGD
 step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
@@ -116,6 +116,9 @@ class MlpModel:
         return h
 
 
+# A linear map from its matrix. The package builds none (make_mlp builds
+# both families); it stays as the tests' constructor, and because
+# benchmarks/tracing.py and benchmarks/test_bench.py name it.
 class LinearModel(MlpModel):
     def __init__(self, a, max_col_sum, max_spectral):
         super().__init__([a], [max_spectral], ["identity"], max_col_sum)
@@ -125,30 +128,21 @@ class LinearModel(MlpModel):
     forward = MlpModel.forward
 
 
-def make_linear(in_dim: int, out_dim: int, max_col_sum: float,
-                max_spectral: float, seed: int) -> LinearModel:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, then projected."""
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / math.sqrt(in_dim)
-    a = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    return project(LinearModel(a, max_col_sum=max_col_sum,
-                               max_spectral=max_spectral))
-
-
-def make_mlp(widths, spectral_caps, seed: int,
-             activations=None) -> MlpModel:
-    """widths = [in, hidden..., out]; ReLU everywhere unless overridden."""
+def make_mlp(widths, spectral_cap, seed: int, activations=None,
+             max_col_sum=None) -> MlpModel:
+    """widths = [in, hidden..., out], ReLU unless overridden, each layer's
+    cap spectral_cap as given; Uniform(+-1/sqrt(fan_in)) init, projected.
+    A linear map is make_mlp([in, out], s, seed, ["identity"], a)."""
     if len(widths) < 2:
         raise ConfigError("widths must list input and output dims")
     L = len(widths) - 1
     if activations is None:
         activations = ["relu"] * L
-    if np.isscalar(spectral_caps):
-        spectral_caps = [float(spectral_caps)] * L
     rng = np.random.default_rng(seed)
     ws = [rng.uniform(-1.0 / math.sqrt(i), 1.0 / math.sqrt(i), size=(o, i))
           for i, o in zip(widths[:-1], widths[1:])]
-    return project(MlpModel(ws, list(spectral_caps), list(activations)))
+    return project(MlpModel(ws, [spectral_cap] * L, list(activations),
+                            max_col_sum))
 
 
 def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
@@ -375,10 +369,9 @@ def load_checkpoint(path_prefix: str):
                                           "checkpoint payload"), dtype="<f8")
     ws = [w.reshape(shape).copy() for w, shape
           in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    parts = (([meta["max_spectral"]], ["identity"], meta["max_col_sum"])
+             if linear else (meta["spectral_caps"], meta["activations"]))
     try:
-        if linear:
-            return LinearModel(ws[0], max_col_sum=meta["max_col_sum"],
-                               max_spectral=meta["max_spectral"])
-        return MlpModel(ws, meta["spectral_caps"], meta["activations"])
+        return MlpModel(ws, *parts)
     except ConfigError as e:
         raise bad(str(e)) from None

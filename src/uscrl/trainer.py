@@ -5,12 +5,12 @@ projecting back onto the norm-constraint set after every step. Tuples
 come from one of the three regimes; the sub-sampled regime can redraw
 its M tuples each epoch or keep one fixed draw.
 
-``compare_regimes`` mirrors the pool-based comparison experiment: one
-set of n disjoint tuples, a sub-sampled run for each tuple budget M on
-the re-pooled samples of those tuples, and the full enumeration when it
-fits under the cap. ``sample_complexity_search`` binary-searches the
-smallest pool size whose trained model comes within epsilon of a large
-reference model's population risk.
+``compare_regimes`` mirrors the pool-based comparison experiment for one
+seed: one set of n disjoint tuples, a sub-sampled run for each tuple
+budget M on the re-pooled samples of those tuples, and the full
+enumeration when it fits under the cap. ``sample_complexity_search``
+binary-searches the smallest pool size whose trained model comes within
+epsilon of a large reference model's population risk.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
 from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
-from .model import (make_linear, make_mlp, mean_classifier, project,
-                    tuple_batch_backward)
+from .model import make_mlp, mean_classifier, project, tuple_batch_backward
 from .risk import MonteCarlo, child_seed, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
@@ -93,11 +92,10 @@ class TrainReport:
 def _build_model(cfg: TrainConfig, in_dim: int):
     seed = child_seed(cfg.seed, 1)
     if cfg.family == "linear":
-        return make_linear(in_dim, cfg.out_dim, max_col_sum=cfg.max_col_sum,
-                           max_spectral=cfg.spectral_cap, seed=seed)
-    widths = [in_dim, *cfg.hidden, cfg.out_dim]
-    acts = list(cfg.activations) if cfg.activations else None
-    return make_mlp(widths, cfg.spectral_cap, seed=seed, activations=acts)
+        return make_mlp([in_dim, cfg.out_dim], cfg.spectral_cap, seed,
+                        ["identity"], cfg.max_col_sum)
+    return make_mlp([in_dim, *cfg.hidden, cfg.out_dim], cfg.spectral_cap,
+                    seed, cfg.activations or None)
 
 
 def _draw_tuples(ds: LabeledDataset, cfg: TrainConfig, epoch: int) -> TupleSet:
@@ -209,50 +207,48 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
         m_tuples_used=ts.m_count, model=model)
 
 
-def compare_regimes(pool: LabeledDataset, n_disjoint: int, k: int,
-                    m_grid, seeds, cfg: TrainConfig,
+def compare_regimes(pool: LabeledDataset, n_disjoint: int, m_grid,
+                    cfg: TrainConfig,
                     eval_spec: GaussianSpec | None = None) -> list[dict]:
-    """Paired comparison of the three tuple regimes on one pool.
+    """Paired comparison of the three tuple regimes on one pool, for the
+    k and seed of ``cfg``; each other seed is another call.
 
-    For each seed, draw n disjoint tuples and re-pool the n*(k+2) samples
-    they touch. The seed's runs, in order: the i.i.d. regime on those
-    tuples over the whole pool; M sub-sampled tuples of the re-pooled
-    samples for each M in the grid; all their tuples when the enumeration
-    fits under the cap. Each run builds its tuples just before training
-    and gives one row, whose keys are the regimes.csv header. Model init
-    is shared within a seed so the comparison is paired.
+    Draw n disjoint tuples and re-pool the n*(k+2) samples they touch.
+    The runs, in order: the i.i.d. regime on those tuples over the whole
+    pool; M sub-sampled tuples of the re-pooled samples for each M in the
+    grid; all their tuples when the enumeration fits under the cap. Each
+    run builds its tuples just before training and gives one row, whose
+    keys are the regimes.csv header. The runs share the model init, so
+    the comparison is paired.
     """
 
+    k, seed = cfg.k, cfg.seed
+    chosen = disjoint_tuples(pool, k, n_disjoint, seed=child_seed(seed, 10))
+    used = np.unique(np.concatenate(
+        [chosen.anchors, chosen.positives, chosen.negatives.ravel()]))
+    if used.size != n_disjoint * (k + 2):
+        raise PreconditionError(
+            f"{n_disjoint} disjoint tuples touch {used.size} samples, "
+            f"expected {n_disjoint * (k + 2)}")
+    sub_pool = pool.subset(used)
+
+    runs = [(REGIME_IID, 0)] + [(REGIME_SUB, int(m)) for m in m_grid]
+    if count_all_tuples(sub_pool, k)[0] <= cfg.cap:
+        runs.append((REGIME_ALL, 0))
     rows = []
-    for seed in seeds:
-        base = replace(cfg, k=k, seed=int(seed))
-        chosen = disjoint_tuples(pool, k, n_disjoint,
-                                 seed=child_seed(seed, 10))
-
-        used = np.unique(np.concatenate(
-            [chosen.anchors, chosen.positives, chosen.negatives.ravel()]))
-        if used.size != n_disjoint * (k + 2):
-            raise PreconditionError(
-                f"{n_disjoint} disjoint tuples touch {used.size} samples, "
-                f"expected {n_disjoint * (k + 2)}")
-        sub_pool = pool.subset(used)
-
-        runs = [(REGIME_IID, 0)] + [(REGIME_SUB, int(m)) for m in m_grid]
-        if count_all_tuples(sub_pool, k)[0] <= cfg.cap:
-            runs.append((REGIME_ALL, 0))
-        for regime, m in runs:
-            ds, ts = (pool, chosen) if regime == REGIME_IID else (
-                sub_pool, regime_tuples(sub_pool, k, regime,
-                                        child_seed(seed, 12, m),
-                                        m_tuples=m, cap=cfg.cap))
-            report = train(ds, base, eval_spec=eval_spec, tuples=ts,
-                           with_probe=True)
-            rows.append({"regime": regime, "m_count": ts.m_count,
-                         "seed": int(seed), "n_disjoint": n_disjoint, "k": k,
-                         "final_train_loss": report.epoch_losses[-1],
-                         "final_risk": report.final_risk,
-                         "final_risk_se": report.final_risk_se,
-                         "probe_accuracy": report.final_probe_accuracy})
+    for regime, m in runs:
+        ds, ts = (pool, chosen) if regime == REGIME_IID else (
+            sub_pool, regime_tuples(sub_pool, k, regime,
+                                    child_seed(seed, 12, m),
+                                    m_tuples=m, cap=cfg.cap))
+        report = train(ds, cfg, eval_spec=eval_spec, tuples=ts,
+                       with_probe=True)
+        rows.append({"regime": regime, "m_count": ts.m_count,
+                     "seed": seed, "n_disjoint": n_disjoint, "k": k,
+                     "final_train_loss": report.epoch_losses[-1],
+                     "final_risk": report.final_risk,
+                     "final_risk_se": report.final_risk_se,
+                     "probe_accuracy": report.final_probe_accuracy})
     return rows
 
 

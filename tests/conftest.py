@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uscrl.dataset import LabeledDataset
-from uscrl.model import LinearModel, make_linear, make_mlp, project
+from uscrl.model import make_mlp
 
 
 def make_pool(sizes, dim=6, seed=0, scale=1.0):
@@ -17,8 +17,8 @@ def make_pool(sizes, dim=6, seed=0, scale=1.0):
 
 
 def rand_linear(in_dim, out_dim, seed=0, max_col_sum=64.0, max_spectral=4.0):
-    return make_linear(in_dim, out_dim, max_col_sum=max_col_sum,
-                       max_spectral=max_spectral, seed=seed)
+    return make_mlp([in_dim, out_dim], max_spectral, seed, ["identity"],
+                    max_col_sum)
 
 
 def rand_mlp(widths, seed=0, cap=4.0, activations=None):

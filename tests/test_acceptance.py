@@ -8,6 +8,7 @@ at desk scale.
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -544,8 +545,8 @@ def test_subsampled_regime_beats_disjoint_and_tracks_enumeration():
     pool = generate_gaussian(gspec, 420, seed=41)
     cfg = TrainConfig(family="linear", out_dim=8, k=k, epochs=40,
                       batch_size=128, lr=0.3, eval_draws=4000, seed=0)
-    rows = compare_regimes(pool, n_dis, k, [1000, 10000], [0, 1, 2, 3, 4],
-                           cfg, eval_spec=gspec)
+    rows = [r for s in range(5) for r in compare_regimes(
+        pool, n_dis, [1000, 10000], replace(cfg, seed=s), eval_spec=gspec)]
     by = {}
     for r in rows:
         by.setdefault((r["regime"], r["m_count"]), {})[r["seed"]] = \
@@ -558,8 +559,8 @@ def test_subsampled_regime_beats_disjoint_and_tracks_enumeration():
     pool2 = generate_gaussian(gs2, 42, seed=43)
     cfg2 = TrainConfig(family="linear", out_dim=6, k=k, epochs=40,
                        batch_size=256, lr=0.3, eval_draws=4000, seed=0)
-    rows2 = compare_regimes(pool2, 10, k, [10000], [0, 1, 2], cfg2,
-                            eval_spec=gs2)
+    rows2 = [r for s in range(3) for r in compare_regimes(
+        pool2, 10, [10000], replace(cfg2, seed=s), eval_spec=gs2)]
     agg = {}
     for r in rows2:
         agg.setdefault(r["regime"], []).append(r["final_risk"])

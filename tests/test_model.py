@@ -11,7 +11,7 @@ from uscrl import model as model_mod
 from uscrl.errors import ConfigError, FormatError, NumericError
 from uscrl.loss import LossSpec, loss_value, tuple_losses
 from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, MlpModel,
-                         load_checkpoint, make_linear, make_mlp,
+                         load_checkpoint, make_mlp,
                          mean_classifier, project, save_checkpoint,
                          spectral_norm, tuple_batch_backward)
 from uscrl.tuples import TupleSet, enumerate_all_tuples, subsample_tuples
@@ -114,11 +114,17 @@ class TestForward:
 
 class TestInitAndProjection:
     def test_init_is_seeded(self):
-        a = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=3)
-        b = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=3)
-        c = make_linear(6, 4, max_col_sum=50.0, max_spectral=10.0, seed=4)
+        a = rand_linear(6, 4, seed=3, max_col_sum=50.0, max_spectral=10.0)
+        b = rand_linear(6, 4, seed=3, max_col_sum=50.0, max_spectral=10.0)
+        c = rand_linear(6, 4, seed=4, max_col_sum=50.0, max_spectral=10.0)
         np.testing.assert_array_equal(a.weights[0], b.weights[0])
         assert not np.array_equal(a.weights[0], c.weights[0])
+        # the linear init law: a uniform fan-in draw, then the projection;
+        # at 96 -> 8 the (2,1) cap of 2 binds
+        d = rand_linear(96, 8, seed=7, max_col_sum=2, max_spectral=3)
+        for model, sha in [(a, "b5bd1993b7468251"), (d, "49324ba8641d7897")]:
+            digest = hashlib.sha256(model.weights[0].tobytes()).hexdigest()
+            assert digest[:16] == sha
 
     def test_init_respects_fan_in_bound(self):
         model = make_mlp([16, 8, 4], 100.0, seed=0)
@@ -501,7 +507,7 @@ class TestCheckpoints:
         jp, bp = save_checkpoint(model, prefix)
         assert jp.endswith(".json") and bp.endswith(".bin")
         back = load_checkpoint(prefix)
-        assert type(back) is LinearModel
+        assert type(back) is MlpModel and back.activations == ["identity"]
         np.testing.assert_array_equal(back.weights[0], model.weights[0])
         assert back.max_col_sum == 7.0 and back.spectral_caps == [2.0]
 

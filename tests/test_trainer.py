@@ -217,8 +217,9 @@ class TestCompareRegimes:
         gspec = GaussianSpec.random(3, dim=6, sigma=0.4, seed=24)
         pool = generate_gaussian(gspec, 24, seed=25)
         cfg = small_cfg(epochs=2, batch_size=256, eval_draws=800)
-        rows = compare_regimes(pool, n_disjoint=4, k=2, m_grid=[50, 100],
-                               seeds=[0, 1], cfg=cfg, eval_spec=gspec)
+        rows = [r for s in (0, 1) for r in compare_regimes(
+            pool, n_disjoint=4, m_grid=[50, 100], cfg=replace(cfg, seed=s),
+            eval_spec=gspec)]
         # per seed: iid + two sub-sampled budgets + the full enumeration
         assert len(rows) == 8
         keys = {"regime", "m_count", "seed", "n_disjoint", "k",
@@ -240,24 +241,26 @@ class TestCompareRegimes:
         pool = generate_gaussian(gspec, 24, seed=25)
         # any re-pooled set of 4 disjoint k=2 tuples has more than one tuple
         cfg = small_cfg(epochs=1, eval_draws=400, cap=1)
-        rows = compare_regimes(pool, n_disjoint=4, k=2, m_grid=[50, 100],
-                               seeds=[0, 1], cfg=cfg, eval_spec=gspec)
         for seed in (0, 1):
-            assert [r["regime"] for r in rows if r["seed"] == seed] == [
+            rows = compare_regimes(pool, n_disjoint=4, m_grid=[50, 100],
+                                   cfg=replace(cfg, seed=seed),
+                                   eval_spec=gspec)
+            assert [r["regime"] for r in rows] == [
                 REGIME_IID, REGIME_SUB, REGIME_SUB]
+            assert all(r["seed"] == seed for r in rows)
 
     def test_deterministic(self):
         gspec = GaussianSpec.random(2, dim=4, sigma=0.4, seed=26)
         pool = generate_gaussian(gspec, 20, seed=27)
-        cfg = small_cfg(epochs=1, eval_draws=400)
-        a = compare_regimes(pool, 2, 1, [30], [5], cfg, eval_spec=gspec)
-        b = compare_regimes(pool, 2, 1, [30], [5], cfg, eval_spec=gspec)
+        cfg = small_cfg(k=1, seed=5, epochs=1, eval_draws=400)
+        a = compare_regimes(pool, 2, [30], cfg, eval_spec=gspec)
+        b = compare_regimes(pool, 2, [30], cfg, eval_spec=gspec)
         assert a == b
 
     def test_pool_too_small(self):
         pool = make_pool([3, 3], dim=4, seed=28)
         with pytest.raises(PreconditionError):
-            compare_regimes(pool, 1000, 2, [10], [0], small_cfg())
+            compare_regimes(pool, 1000, [10], small_cfg())
 
     def test_overlapping_disjoint_draw_is_a_precondition_error(
             self, monkeypatch):
@@ -269,7 +272,7 @@ class TestCompareRegimes:
         pool = make_pool([3, 3], dim=4, seed=28)
         with pytest.raises(PreconditionError, match="touch 3 samples, "
                                                     "expected 6"):
-            compare_regimes(pool, 2, 1, [10], [0], small_cfg())
+            compare_regimes(pool, 2, [10], small_cfg(k=1))
 
 
 SEARCH_GSPEC = GaussianSpec.random(3, dim=6, sigma=0.5, seed=30)
