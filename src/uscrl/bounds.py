@@ -131,7 +131,9 @@ class BoundReport:
 
 
 def effective_n(n: int, rho, k: int) -> float:
-    """N_tilde = N min(rho_min/2, (1-rho_max)/k); needs at least 2 classes."""
+    """N_tilde = N min(rho_min/2, (1-rho_max)/k); needs at least 2 classes
+    and a positive result, which priors that round it to 0 in double
+    precision, or a rho_max above 1 within their sum tolerance, do not give."""
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape[0] < 2:
         raise PreconditionError(
@@ -140,7 +142,12 @@ def effective_n(n: int, rho, k: int) -> float:
         raise ConfigError("class priors must be strictly positive")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    return float(n * min(rho.min() / 2.0, (1.0 - rho.max()) / k))
+    nt = float(n * min(rho.min() / 2.0, (1.0 - rho.max()) / k))
+    if not nt > 0:
+        raise PreconditionError(
+            f"effective sample size is {nt} for n={n}, k={k}, rho_min="
+            f"{float(rho.min())!r} and rho_max={float(rho.max())!r}")
+    return nt
 
 
 def chernoff_lambda(n: int, rho_min: float, num_classes: int, delta: float,

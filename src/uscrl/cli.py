@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import datetime
 import functools
@@ -40,7 +39,7 @@ from .bounds import BoundInputs, evaluate_theorem
 from .dataset import (GaussianSpec, LabeledDataset, generate_gaussian,
                       load_idx, train_holdout_split)
 from .errors import ConfigError, PreconditionError, UscrlError
-from .fileio import _check_finite, atomic_write, read_json, write_json
+from .fileio import atomic_write, read_json, write_csv, write_json
 from .loss import LossSpec, tuple_losses
 from .model import load_checkpoint, save_checkpoint
 from .risk import (Exact, MonteCarlo, RiskEstimate, population_risk_mc,
@@ -173,23 +172,6 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, seed: int,
     path = os.path.join(out_dir, "manifest.json")
     write_json(path, manifest)
     return path
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    _check_finite(path, [dict(zip(header, row)) for row in rows])
-    with atomic_write(path, newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(v) for v in row])
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return v
 
 
 def _now() -> str:
@@ -330,7 +312,7 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, jobs: int) -> list[str]:
     header = (params + ["n_tilde", "lambda"] + [f"term_{t}" for t in term_names]
               + ["total", "vacuous", "lambda_ge_1"])
     path = os.path.join(out_dir, "bounds.csv")
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
     return [path]
 
 
@@ -367,7 +349,7 @@ def cmd_experiment_regimes(cfg: dict, out_dir: str, seed: int,
     rows = [r for chunk in chunks for r in chunk]
     header = list(rows[0])  # seeds is non-empty and each seed has an iid row
     path = os.path.join(out_dir, "regimes.csv")
-    _write_csv(path, header, [[row[h] for h in header] for row in rows])
+    write_csv(path, header, [[row[h] for h in header] for row in rows])
     return [path]
 
 
@@ -385,7 +367,7 @@ def cmd_experiment_complexity(cfg: dict, out_dir: str, seed: int,
              r["n_eps"], r["gap_at_hi"], result["reference_risk"],
              result["mean_n_eps"]] for r in result["per_seed"]]
     csv_path = os.path.join(out_dir, "complexity.csv")
-    _write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     json_path = os.path.join(out_dir, "complexity.json")
     write_json(json_path, result)
     return [csv_path, json_path]

@@ -22,8 +22,9 @@ class GaussianSpec:
 
     ``sigma``, ``centers`` and ``priors`` must be finite; ``priors`` must be
     strictly positive, sum to one and pass the pool draw's multinomial, and
-    are uniform when not given; class c draws x = centers[c] + sigma * z
-    with z standard normal.
+    are uniform when not given; with two or more classes none may reach 1,
+    which leaves no class to draw negatives from. Class c draws x =
+    centers[c] + sigma * z with z standard normal.
     """
 
     centers: np.ndarray  # (num_classes, dim)
@@ -53,6 +54,8 @@ class GaussianSpec:
             np.random.default_rng(0).multinomial(0, p)
         except ValueError as e:
             raise ConfigError(f"priors {p.tolist()}: {e}") from None
+        if c > 1 and p.max() >= 1.0:
+            raise ConfigError(f"priors {p.tolist()}: one class has all the mass")
         object.__setattr__(self, "priors", p)
 
     @property
@@ -70,6 +73,14 @@ class GaussianSpec:
         rng = np.random.default_rng(seed)
         centers = rng.standard_normal((num_classes, dim))
         return GaussianSpec(centers=centers, sigma=sigma, priors=priors)
+
+    def draw_rows(self, rng: np.random.Generator, labels: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+        """out := centers[labels] + sigma * z in place, z drawn from rng."""
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        out += self.centers[labels]
+        return out
 
 
 @dataclass(frozen=True)
@@ -134,27 +145,14 @@ def generate_gaussian(spec: GaussianSpec, n: int, seed: int) -> LabeledDataset:
     conditioning, as numpy's generator implements), not from n independent
     label draws, so the per-class counts are exchangeable with the
     multinomial law assumed by the estimator analysis. Samples are laid
-    out class-by-class in label order.
+    out class-by-class in label order by one GaussianSpec.draw_rows call.
     """
 
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, spec.priors)
-    xs = []
-    ys = []
-    for c in range(spec.num_classes):
-        m = int(counts[c])
-        if m == 0:
-            continue
-        xs.append(spec.centers[c] + spec.sigma * rng.standard_normal((m, spec.dim)))
-        ys.append(np.full(m, c, dtype=np.int64))
-    if xs:
-        x = np.concatenate(xs, axis=0)
-        y = np.concatenate(ys, axis=0)
-    else:
-        x = np.zeros((0, spec.dim))
-        y = np.zeros(0, dtype=np.int64)
+    y = np.repeat(np.arange(spec.num_classes), rng.multinomial(n, spec.priors))
+    x = spec.draw_rows(rng, y, np.empty((n, spec.dim)))
     return LabeledDataset(x=x, y=y, num_classes=spec.num_classes)
 
 

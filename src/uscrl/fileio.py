@@ -1,7 +1,8 @@
-"""The package's file I/O: atomic writes, JSON, exact-length binary reads."""
+"""File I/O: atomic writes, JSON and CSV results, exact-length binary reads."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -47,6 +48,24 @@ def write_json(path: str, obj) -> None:
     with atomic_write(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Header and rows as CSV, atomically; floats by repr, None as ''."""
+    _check_finite(path, [dict(zip(header, row)) for row in rows])
+    with atomic_write(path, newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_csv_cell(v) for v in row])
+
+
+def _csv_cell(v):
+    if isinstance(v, float):
+        return repr(v)
+    if v is None:
+        return ""
+    return v
 
 
 def read_json(path: str, what: str, **hooks):

@@ -28,9 +28,7 @@ from .errors import ConfigError
 
 LOSS_KINDS = ("logistic", "hinge")
 
-# tuples per scoring block in scores_from_reps, and rows per forward piece
-# of a population Monte Carlo chunk
-_BLOCK = 4096
+_BLOCK = 4096  # tuples per scoring block in scores_from_reps
 
 
 def default_clip(k: int) -> float:
@@ -146,6 +144,21 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
                               negatives[lo:hi].ravel()])
         v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
     return v
+
+
+def block_loss_grad(spec: LossSpec, r: np.ndarray, b: int, k: int):
+    """Clipped losses (b,) of a tuple-major block r of b*(k+2) rows, as
+    _scores reads it, and the gradient of their mean in each row of r; the
+    score gradient is divided by b before its row sums, fixing their bytes."""
+    ra, diff, v = _scores(r, b, k)
+    losses, gt = _value_and_grad(spec, np.ascontiguousarray(v.T))
+    gv = np.divide(gt, b, out=gt).T  # gradient of the batch mean, (b, k)
+    blocks = np.empty_like(r)
+    blocks[:b] = np.einsum("bk,bkd->bd", gv, diff)
+    np.multiply(gt.sum(axis=0)[:, None], ra, out=blocks[b:2 * b])
+    neg = blocks[2 * b:].reshape(b, k, r.shape[1])
+    np.negative(np.multiply(gv[:, :, None], ra[:, None, :], out=neg), out=neg)
+    return losses, blocks
 
 
 def tuple_losses(model, ds, anchors, positives, negatives,

@@ -29,7 +29,7 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import (atomic_write, read_exact, read_json, read_payload,
                      write_json)
-from .loss import LossSpec, _scores, _value_and_grad
+from .loss import LossSpec, block_loss_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
@@ -231,8 +231,8 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     A batch of b*(k+2) >= WHOLE_POOL_RATIO * n index entries (ratio 2)
     forwards the whole pool, indexed by its own columns; a smaller one
     forwards its distinct rows (a mask, no sort). np.take gathers their
-    representations tuple-major, one k-major pass gives losses and
-    gradient, and one np.bincount sums the blocks onto rows in entry order
+    representations tuple-major, loss.block_loss_grad gives losses and row
+    gradients, and one np.bincount sums those onto rows in entry order
     (anchor, positive, negative) before the single backward pass.
     """
 
@@ -247,18 +247,9 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     if inverse.size < WHOLE_POOL_RATIO * ds.n:
         x, inverse = _pool_rows(x, inverse)
     hs = _forward_cached(model, x)
-    reps = hs[-1]
-    m, d = reps.shape
-    r = np.take(reps, inverse, axis=0)
-    ra, diff, v = _scores(r, b, k)
-    losses, gt = _value_and_grad(spec, np.ascontiguousarray(v.T))
-    gv = np.divide(gt, b, out=gt).T  # gradient of the batch mean, (b, k)
-
-    blocks = np.empty_like(r)  # score gradient per gathered entry
-    blocks[:b] = np.einsum("bk,bkd->bd", gv, diff)
-    np.multiply(gt.sum(axis=0)[:, None], ra, out=blocks[b:2 * b])
-    neg = blocks[2 * b:].reshape(b, k, d)
-    np.negative(np.multiply(gv[:, :, None], ra[:, None, :], out=neg), out=neg)
+    m, d = hs[-1].shape
+    losses, blocks = block_loss_grad(spec, np.take(hs[-1], inverse, axis=0),
+                                     b, k)
     # bin j*m + row holds feature j of a row, so each bin's terms arrive
     # in entry order; the sums go back to row-major for backprop, since
     # BLAS may round a transposed operand differently

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataset import GaussianSpec, LabeledDataset
 from .errors import ConfigError, PreconditionError, SizeError, count_text
-from .loss import _BLOCK, LossSpec, loss_value, scores_from_reps
+from .loss import LossSpec, loss_value, scores_from_reps
 from .tuples import (DEFAULT_CAP, REGIME_SUB, TupleSet, block_tuples,
                      class_tuple_chunks, class_tuple_count, draw_class_tuples)
 
@@ -64,6 +64,7 @@ class RiskEstimate:
 
 
 _CHUNK = 1 << 16
+_PIECE = 4096  # rows per forward piece of a population Monte Carlo chunk
 
 
 def child_seed(*parts) -> int:
@@ -274,9 +275,9 @@ def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
     """Scores (m, k) of num_draws population tuples, m <= chunk draws at a
     time. A chunk (at most 2^21 input doubles) is the unit of rng calls
     and loss sums; its m * (k + 2) input rows are drawn one forward piece
-    at a time into one reused buffer of at most _BLOCK rows."""
+    at a time into one reused buffer of at most _PIECE rows."""
     n_cls, priors = gspec.num_classes, gspec.priors
-    buf = np.empty((min(_BLOCK, min(chunk, num_draws) * (k + 2)), gspec.dim))
+    buf = np.empty((min(_PIECE, min(chunk, num_draws) * (k + 2)), gspec.dim))
     for done in range(0, num_draws, chunk):
         m = min(chunk, num_draws - done)
         rows = m * (k + 2)
@@ -289,14 +290,11 @@ def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
             bad = bad[negc[bad] == cls[bad // k]]
         rowcls = np.concatenate([cls, cls, negc])
         reps = np.empty((rows, model.weights[-1].shape[0]))
-        pieces = -(-rows // _BLOCK)
+        pieces = -(-rows // _PIECE)
         for i in range(pieces):
             lo, hi = rows * i // pieces, rows * (i + 1) // pieces
-            xp = buf[:hi - lo]
-            rng.standard_normal(out=xp)
-            xp *= gspec.sigma
-            xp += gspec.centers[rowcls[lo:hi]]  # center + sigma * z
-            reps[lo:hi] = model.forward(xp)
+            reps[lo:hi] = model.forward(
+                gspec.draw_rows(rng, rowcls[lo:hi], buf[:hi - lo]))
         idx = np.arange(rows)
         v = scores_from_reps(reps, idx[:m], idx[m:2 * m],
                              idx[2 * m:].reshape(m, k))
@@ -317,17 +315,17 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     doubles; a chunk is the unit of rng calls and loss sums. Per chunk it
     draws the classes, the negative classes, then the normals of the
     anchor, positive and negative rows in that order, before the next
-    chunk's classes. It walks the rows in even pieces of at most _BLOCK
-    rows and draws each piece's normals into one reused buffer of at most
-    _BLOCK rows (numpy's float64 normal stream is the same whether drawn
-    in one call or several), applies sigma and the class centers in
-    place, forwards the piece into the chunk's representations and scores
-    those _BLOCK tuples at a time. A chunk of at most _BLOCK rows is one
-    piece, and no piece of a larger one has fewer than _BLOCK / 2 rows: a
+    chunk's classes. It walks the rows in even pieces of at most _PIECE
+    rows; GaussianSpec.draw_rows fills each in one reused buffer (numpy's
+    float64 normal stream is the same whether drawn in one call or
+    several), and the piece is forwarded into the chunk's representations,
+    which scores_from_reps scores. A chunk of at most _PIECE rows is one
+    piece, and no piece of a larger one has fewer than _PIECE / 2 rows: a
     BLAS may round a matmul of a few rows differently, but pieces of 512
     rows or more forwarded to the bytes of the whole chunk in every case
     checked. The losses are summed per chunk. A k whose single draw would
-    not fit a chunk is refused.
+    not fit a chunk is refused. A prior close to 1 is slow: negative
+    classes are redrawn for about 1 / (1 - rho_max) rounds.
     """
 
     if gspec.num_classes < 2:

@@ -283,17 +283,13 @@ def subsample_tuples(ds: LabeledDataset, k: int, m: int, seed: int) -> TupleSet:
 
     if m < 0:
         raise ConfigError(f"m must be >= 0, got {m}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    sizes = ds.class_sizes()
-    feasible = [c for c in range(ds.num_classes)
-                if class_tuple_count(int(sizes[c]), ds.n - int(sizes[c]), k) > 0]
+    feasible = [c for c, cnt in enumerate(count_all_tuples(ds, k)[1]) if cnt]
     if not feasible:
         raise PreconditionError(f"no class admits a valid tuple at k={k}")
     if m == 0:
         return _empty_set(REGIME_SUB, k)
     rng = np.random.default_rng(seed)
-    weights = np.array([sizes[c] for c in feasible], dtype=np.float64)
+    weights = ds.class_sizes()[feasible].astype(np.float64)
     weights /= weights.sum()
     choice = rng.choice(len(feasible), size=m, p=weights)
 

@@ -56,6 +56,11 @@ class TestEffectiveN:
     def test_validation(self):
         with pytest.raises(PreconditionError):
             effective_n(10, [1.0], 1)
+        # positive priors whose N_tilde rounds to 0, or is negative for a
+        # rho_max above 1 within the priors' sum tolerance
+        for rho in ([1.0, 1e-10], [0.5, 0.5, 5e-324], [1 + 5e-10, 1e-10]):
+            with pytest.raises(PreconditionError, match="sample size is "):
+                effective_n(100, rho, 1)
         with pytest.raises(ConfigError):
             effective_n(10, [0.5, 0.5], 0)
         with pytest.raises(ConfigError):

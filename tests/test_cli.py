@@ -34,7 +34,8 @@ from uscrl import cli
 from uscrl.cli import main
 from uscrl.dataset import GaussianSpec, generate_gaussian
 from uscrl.errors import NumericError
-from uscrl.fileio import atomic_write
+from uscrl.fileio import atomic_write, write_csv
+from uscrl.loss import default_clip
 from uscrl.model import LinearModel, load_checkpoint, save_checkpoint
 from uscrl.tuples import count_all_tuples
 
@@ -387,7 +388,7 @@ class TestFiniteOutputs:
     def test_csv_writer_names_the_row_and_column(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         with pytest.raises(NumericError, match=r"rows\.csv: field 1\.b "):
-            cli._write_csv(path, ["a", "b"], [[1, 0.5], [2, float("-inf")]])
+            write_csv(path, ["a", "b"], [[1, 0.5], [2, float("-inf")]])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -722,6 +723,17 @@ class TestReadmeConfigs:
         code, _ = run(tmp_path, sub, cfg)
         assert code == 0
 
+    def test_library_example_runs(self):
+        block, = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                            flags=re.S | re.M)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        # the train report's risk and probe accuracy, then the U estimate
+        risk, acc, est = map(float, out.getvalue().split())
+        assert 0 < risk < default_clip(2) and 0 <= acc <= 1
+        assert 0 < est < default_clip(2)
+
 
 def _huge_int_config(tmp_path):
     """A sample config whose k has 5,001 digits, over the int-parse limit."""
@@ -846,6 +858,11 @@ class TestMalformedInputExitCodes:
                            "k": 1, "regime": "iid_disjoint"}),
         _pixelless_idx_config,
         _config("bounds", {**BOUNDS_CFG, "sweep": {"n": [], "k": [1, 2]}}),
+        # within every slack, but one class holds all the mass: population
+        # Monte Carlo would redraw negative classes for ~1e10 rounds
+        _config("sample", {"dataset": {**TOY_DS, "num_classes": 2, "n": 24,
+                                       "priors": [1.0, 1e-10]},
+                           "k": 1, "regime": "iid_disjoint"}),
     ], ids=["config-int-over-digit-limit", "checkpoint-shapes-not-pairs",
             "checkpoint-cap-string", "checkpoint-cap-null",
             "checkpoint-negative-shape", "idx-header-overflow",
@@ -858,7 +875,8 @@ class TestMalformedInputExitCodes:
             "bounds-n-integral-float", "priors-nan-token",
             "sigma-infinity-token", "sigma-literal-overflows-double",
             "gaussian-holdout-fraction", "priors-past-multinomial-slack",
-            "idx-images-without-pixels", "bounds-empty-sweep-axis"])
+            "idx-images-without-pixels", "bounds-empty-sweep-axis",
+            "priors-one-class-holds-all"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, build):
         sub, text = build(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -868,6 +886,30 @@ class TestMalformedInputExitCodes:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "error:" in err and "Traceback" not in err
+
+    # valid priors whose N_tilde = N min(rho_min/2, (1 - rho_max)/k) is not
+    # positive in double precision: 1 - rho_max is exactly 0, rho_min/2
+    # underflows, or rho_max lies above 1 within the 1e-9 sum tolerance
+    @pytest.mark.parametrize("rho", [[1.0, 1e-10], [0.5, 0.5, 5e-324],
+                                     [1.0000000005, 1e-10]],
+                             ids=["rho-max-one", "rho-min-underflows",
+                                  "rho-max-above-one"])
+    @pytest.mark.parametrize("theorem", [
+        {"theorem": "basic", "class_k": 1.0},
+        {"theorem": "basic_linear",
+         "family_params": {"eta": 1.0, "s": 2.0, "a": 1.0, "b": 1.0,
+                           "d": 16}}], ids=["basic", "basic-linear"])
+    def test_nonpositive_effective_n_exits_3(self, tmp_path, capsys, rho,
+                                             theorem):
+        code, out = run(tmp_path, "bounds", {
+            "n": 100, "k": 1, "delta": 0.05, "loss_bound": 1.0, "rho": rho,
+            **theorem})
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("precondition error: effective sample size "
+                              "is "), err
+        assert "for n=100, k=1, rho_min=" in err
+        assert not (out / "bounds.json").exists()
 
     # train keys that the run would ignore: the protocol sets the tuples
     # itself, or the chosen model family has no such part

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -45,6 +46,10 @@ class TestGaussianSpec:
         # multinomial: the first two sum past 1 + 1e-12, or one class is > 1
         {"centers": np.zeros((3, 2)), "priors": [0.5, 0.5000000004, 1e-10]},
         {"centers": np.zeros((1, 2)), "priors": [1 + 5e-10]},
+        # within every slack above, but one class holds all the mass, so a
+        # tuple's negative class could never be drawn
+        {"centers": np.zeros((2, 2)), "priors": [1.0, 1e-10]},
+        {"centers": np.zeros((2, 2)), "priors": [1 + 1e-13, 1e-10]},
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -54,6 +59,18 @@ class TestGaussianSpec:
         spec = GaussianSpec(centers=np.zeros((3, 2)),
                             priors=[0.5, 0.5 + 5e-13, 1e-10])
         assert generate_gaussian(spec, 24, seed=0).n == 24
+
+    def test_single_class_keeps_its_whole_prior(self):
+        spec = GaussianSpec(centers=np.zeros((1, 2)))
+        np.testing.assert_array_equal(spec.priors, [1.0])
+
+    def test_draw_rows_is_center_plus_sigma_z_in_place(self):
+        spec = GaussianSpec.random(3, dim=4, sigma=0.7, seed=1)
+        labels = np.array([2, 0, 0, 1, 2])
+        out = np.empty((5, 4))
+        assert spec.draw_rows(np.random.default_rng(8), labels, out) is out
+        z = np.random.default_rng(8).standard_normal((5, 4))
+        np.testing.assert_array_equal(out, spec.centers[labels] + 0.7 * z)
 
 
 class TestLabeledDataset:
@@ -135,6 +152,23 @@ class TestGenerateGaussian:
         spec = GaussianSpec.random(2, dim=3, seed=0)
         ds = generate_gaussian(spec, 0, seed=0)
         assert ds.n == 0 and ds.dim == 3
+        assert ds.x.shape == (0, 3) and ds.x.dtype == np.float64
+        assert ds.y.dtype == np.int64
+
+    @pytest.mark.parametrize("spec,n,seed,want", [
+        (GaussianSpec.random(5, dim=96, sigma=2.0, seed=0), 4000, 1,
+         "3bcec334ac0b98fc"),
+        # counts [17, 0, 13]: the middle class draws no row
+        (GaussianSpec.random(3, dim=3, sigma=0.5, seed=2,
+                             priors=[0.45, 0.05, 0.5]), 30, 9,
+         "6569199adcc14c94"),
+    ])
+    def test_pool_bytes_are_pinned(self, spec, n, seed, want):
+        # every recorded pool, checkpoint and benchmark digest rests on
+        # this draw: the class counts, then all rows' normals in C order
+        ds = generate_gaussian(spec, n, seed)
+        got = hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
+        assert got[:16] == want
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=3,

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uscrl.errors import ConfigError
-from uscrl.loss import (_BLOCK, LOSS_KINDS, LossSpec, _scores, default_clip,
-                        loss_grad, loss_value, scores_from_reps, tuple_losses)
+from uscrl.loss import (_BLOCK, LOSS_KINDS, LossSpec, _scores,
+                        block_loss_grad, default_clip, loss_grad, loss_value,
+                        scores_from_reps, tuple_losses)
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
@@ -324,6 +325,27 @@ def vec_pairs(draw):
     u = draw(score_vecs)
     w = draw(hnp.arrays(np.float64, u.shape, elements=st.floats(-50, 50)))
     return u, w
+
+
+class TestBlockLossGrad:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_follow_the_chain_rule(self, kind, k):
+        rng = np.random.default_rng(60 + k)
+        b, d = 7, 5
+        r = rng.normal(size=(b * (k + 2), d))
+        spec = LossSpec(kind=kind, clip=2.0, margin=1.5)
+        losses, rows = block_loss_grad(spec, r, b, k)
+        ra, rp, rn = r[:b], r[b:2 * b], r[2 * b:].reshape(b, k, d)
+        v = np.einsum("bd,bkd->bk", ra, rp[:, None, :] - rn)
+        assert losses.tobytes() == loss_value(spec, v).tobytes()
+        g = loss_grad(spec, v) / b
+        assert rows.shape == r.shape
+        np.testing.assert_allclose(
+            rows, np.concatenate([np.einsum("bk,bkd->bd", g, rp[:, None] - rn),
+                                  g.sum(axis=1)[:, None] * ra,
+                                  (-g[:, :, None] * ra[:, None]).reshape(-1, d)]),
+            rtol=1e-13, atol=1e-16)
 
 
 class TestInvariants:
