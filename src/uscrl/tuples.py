@@ -233,6 +233,18 @@ def draw_ordered_pairs(rng: np.random.Generator, n: int, size: int):
     return a, b
 
 
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort each row of an int array ascending, in place, and return it. A
+    pair is sorted by two column passes, several times faster than np.sort."""
+    if rows.shape[1] == 2:
+        low = np.minimum(rows[:, 0], rows[:, 1])
+        np.maximum(rows[:, 0], rows[:, 1], out=rows[:, 1])
+        rows[:, 0] = low
+    else:
+        rows.sort(axis=1)
+    return rows
+
+
 def draw_ksubsets(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
     """Uniform k-subsets of range(n), rows sorted ascending, shape (size, k)."""
     if k > n:
@@ -241,24 +253,23 @@ def draw_ksubsets(rng: np.random.Generator, n: int, k: int, size: int) -> np.nda
         return np.tile(np.arange(n, dtype=np.int64), (size, 1))
     if 4 * k >= n:
         # Dense regime: per-row random keys, take the k smallest. Chunked to
-        # bound the (rows, n) float workspace.
+        # about 2^20 keys, bounding the float keys and argpartition indices;
+        # rng.random fills row-major, so the chunking keeps the rows.
         out = np.empty((size, k), dtype=np.int64)
-        step = max(1, int(2e7) // max(n, 1))
+        step = max(1, (1 << 20) // n)
         for lo in range(0, size, step):
             hi = min(size, lo + step)
             keys = rng.random((hi - lo, n))
             part = np.argpartition(keys, k - 1, axis=1)[:, :k]
-            out[lo:hi] = np.sort(part, axis=1)
+            out[lo:hi] = _sort_rows(part)
         return out
     # Sparse regime: rejection on duplicate rows. Ordered distinct k-tuples
     # are uniform, so sorting yields uniform subsets.
-    draw = rng.integers(0, n, size=(size, k))
-    draw.sort(axis=1)
+    draw = _sort_rows(rng.integers(0, n, size=(size, k)))
     bad = np.flatnonzero((np.diff(draw, axis=1) == 0).any(axis=1)) if k > 1 else \
         np.zeros(0, dtype=np.int64)
     while bad.size:
-        redraw = rng.integers(0, n, size=(bad.size, k))
-        redraw.sort(axis=1)
+        redraw = _sort_rows(rng.integers(0, n, size=(bad.size, k)))
         draw[bad] = redraw
         still = (np.diff(redraw, axis=1) == 0).any(axis=1)
         bad = bad[still]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,46 @@ class TestScores:
                                         np.take(reps, p, axis=0),
                                         np.take(reps, neg, axis=0))[1]
         assert scores_from_reps(reps, a, p, neg).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 6, 33, 128])
+    @pytest.mark.parametrize("n", [3, 8, 32])
+    def test_score_table_parity(self, n, d, k):
+        # a call of b * k >= n**3 scores looks its scores up in the n**3
+        # table; on either side of that line, and far above it, they equal
+        # _scores over the gathered rows, one _BLOCK of tuples at a time
+        rng = np.random.default_rng(1000 * n + 10 * d + k)
+        reps = rng.standard_normal((n, d))
+        edge = -(-n ** 3 // k)  # fewest tuples that take the table
+        for b in (edge - 1, edge, 4 * edge + 5):
+            a, p = rng.integers(0, n, b), rng.integers(0, n, b)
+            neg = rng.integers(0, n, (b, k))
+            want = np.empty((b, k))
+            for lo in range(0, b, _BLOCK):
+                hi = min(b, lo + _BLOCK)
+                idx = np.concatenate([a[lo:hi], p[lo:hi], neg[lo:hi].ravel()])
+                want[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
+            got = scores_from_reps(reps, a, p, neg)
+            assert got.shape == (b, k)
+            assert (got == want).all(), (b, np.abs(got - want).max())
+
+    @pytest.mark.parametrize("d,k", [(6, 2), (33, 5)])
+    def test_score_table_peak_memory(self, d, k):
+        # the n**3 table never outgrows the (b, k) output and the look-ups
+        # run one _BLOCK at a time, so a table-side call peaks within
+        # twice its output; gathering the same tuples needs several times it
+        n, b = 32, 8 * _BLOCK
+        rng = np.random.default_rng(d)
+        reps = rng.standard_normal((n, d))
+        a, p = rng.integers(0, n, b), rng.integers(0, n, b)
+        neg = rng.integers(0, n, (b, k))
+        tracemalloc.start()
+        try:
+            got = scores_from_reps(reps, a, p, neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * got.nbytes, (peak, got.nbytes)
 
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,45 @@ class TestDrawHelpers:
         hit = counts[counts > 0]
         assert hit.size == 66
         assert np.all(np.abs(hit - m * p) < 5 * sigma)
+
+    @staticmethod
+    def _np_sort_ksubsets(rng, n, k, size):
+        """draw_ksubsets with every row sorted by np.sort and the dense
+        keys drawn in one call."""
+        if 4 * k >= n:
+            keys = rng.random((size, n))
+            return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+        draw = np.sort(rng.integers(0, n, size=(size, k)), axis=1)
+        bad = np.flatnonzero((np.diff(draw, axis=1) == 0).any(axis=1))
+        while bad.size:
+            redraw = np.sort(rng.integers(0, n, size=(bad.size, k)), axis=1)
+            draw[bad] = redraw
+            bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
+        return draw
+
+    @pytest.mark.parametrize("n,k,size", [(5, 2, 1000), (8, 2, 300_001),
+                                          (12, 2, 5000), (40, 2, 5000),
+                                          (20, 8, 100_000), (50, 3, 5000)])
+    def test_ksubsets_equal_np_sort_rows(self, n, k, size):
+        # pairs are sorted by two column passes and the dense keys are
+        # drawn in chunks; both keep the rows of one np.sort draw, in the
+        # dense (n <= 4k) and the sparse regime
+        want = self._np_sort_ksubsets(np.random.default_rng(n + k), n, k, size)
+        got = draw_ksubsets(np.random.default_rng(n + k), n, k, size)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    def test_ksubsets_dense_workspace_is_bounded(self):
+        # the dense regime draws about 2^20 float keys (8 MiB) at a time,
+        # so its workspace stays under 32 MiB; 200,000 rows of 20 keys in
+        # one chunk take 64 MiB of keys and argpartition indices
+        tracemalloc.start()
+        try:
+            rows = draw_ksubsets(np.random.default_rng(0), 20, 8, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 32 * (1 << 20), (peak, rows.nbytes)
 
     def test_ksubsets_rejects_k_too_big(self):
         with pytest.raises(PreconditionError):
