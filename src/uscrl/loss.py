@@ -16,13 +16,11 @@ terms pairwise), so the layout changes no value. One pass gives the loss
 and, when asked, its gradient; the public ``loss_value`` and
 ``loss_grad`` keep the (k,) / (batch, k) layout and transpose once.
 
-``scores_from_reps`` scores tuples over a pool of n rows, which has only
-n**3 distinct scores f(x_a)^T (f(x_p) - f(x_q)). A call that asks for at
-least that many (batch * k >= n**3) builds their table once and looks its
-scores up; a smaller call gathers each tuple's rows and scores them. A
-table entry is the einsum of the same anchor and difference rows as a
-gathered score, summed over the contiguous d axis by the same inner loop,
-so both paths give the same bytes.
+``scores_from_reps`` scores tuples over a pool of n rows R. A call that
+asks for at least n**2 scores (batch * k >= n**2) reads each score as
+G[a, p] - G[a, q] from the Gram matrix G = R R^T; a smaller call gathers
+each tuple's rows and scores them. The two paths agree to rounding, not
+to the bit.
 """
 
 from __future__ import annotations
@@ -140,31 +138,27 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
     """Score matrix (batch, k) from row representations and index columns
     in range(n), n = len(reps).
 
-    A call of batch * k >= n**3 builds the table
-    T[a, p, q] = einsum(reps[a], reps[p] - reps[q]) once and looks each
-    score up at flat index (a * n + p) * n + q; a smaller call gathers the
-    tuples' rows, one tuple-major np.take per block, and scores them with
-    _scores. Both take _BLOCK tuples at a time, so the temporaries stay
-    cache-sized whatever the batch. A table entry runs the same einsum
-    inner loop over the same two rows as a gathered score, so both paths
-    give the same bytes."""
+    A call of batch * k >= n**2 builds G = reps @ reps.T, which is then no
+    larger than the output, and looks each score up as G[a, p] - G[a, q];
+    a smaller call gathers the tuples' rows, one tuple-major np.take per
+    block, and scores them with _scores. Both take _BLOCK tuples at a
+    time, so the temporaries stay cache-sized whatever the batch."""
     negatives = np.asarray(negatives)
     b, k = negatives.shape
     n = reps.shape[0]
     v = np.empty((b, k))
-    if n ** 3 <= b * k:
-        table = np.einsum("ad,pqd->apq", reps, reps[:, None] - reps[None]).ravel()
-        for lo in range(0, b, _BLOCK):
-            hi = min(b, lo + _BLOCK)
-            ap = (np.asarray(anchors[lo:hi], dtype=np.int64) * n
-                  + positives[lo:hi]) * n
-            np.take(table, negatives[lo:hi] + ap[:, None], out=v[lo:hi])
-        return v
+    gram = (reps @ reps.T).ravel() if n * n <= b * k else None
     for lo in range(0, b, _BLOCK):
         hi = min(b, lo + _BLOCK)
-        idx = np.concatenate([anchors[lo:hi], positives[lo:hi],
-                              negatives[lo:hi].ravel()])
-        v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
+        if gram is None:
+            idx = np.concatenate([anchors[lo:hi], positives[lo:hi],
+                                  negatives[lo:hi].ravel()])
+            v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
+        else:
+            row = np.asarray(anchors[lo:hi], dtype=np.int64) * n
+            np.subtract(np.take(gram, row + positives[lo:hi])[:, None],
+                        np.take(gram, negatives[lo:hi] + row[:, None]),
+                        out=v[lo:hi])
     return v
 
 

@@ -283,11 +283,17 @@ def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
         rows = m * (k + 2)
         cls = rng.choice(n_cls, size=m, p=priors)
         negc = rng.choice(n_cls, size=(m, k), p=priors).ravel()
-        # redraw in C order, re-testing only the positions just redrawn
+        # redraw in C order, re-testing only the positions just redrawn, for
+        # at most 64 rounds; then draw the rest from rho(z) / (1 - rho(c))
         bad = np.flatnonzero(negc == np.repeat(cls, k))
-        while bad.size:
-            negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
-            bad = bad[negc[bad] == cls[bad // k]]
+        for _ in range(64):
+            if bad.size:
+                negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
+                bad = bad[negc[bad] == cls[bad // k]]
+        for c in np.unique(cls[bad // k]):
+            at = bad[cls[bad // k] == c]
+            q = np.where(np.arange(n_cls) == c, 0.0, priors)
+            negc[at] = rng.choice(n_cls, size=at.size, p=q / q.sum())
         rowcls = np.concatenate([cls, cls, negc])
         reps = np.empty((rows, model.weights[-1].shape[0]))
         pieces = -(-rows // _PIECE)
@@ -307,9 +313,10 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     """Monte Carlo population risk under a Gaussian mixture.
 
     Each draw picks a class c from the priors, an anchor and positive
-    from component c, and k negative classes by rejection (z from the
-    priors until z != c, i.e. probabilities rho(z)/(1 - rho(c))), each
-    with its own fresh sample.
+    from component c, and k negative classes, each with its own fresh
+    sample. A negative class z is drawn from the priors until z != c, for
+    at most 64 rounds, then from rho(z)/(1 - rho(c)) directly, the law the
+    rejection samples; so a prior close to 1 costs at most 64 rounds.
 
     One generator draws, forwards and scores chunks of at most 2^21 input
     doubles; a chunk is the unit of rng calls and loss sums. Per chunk it
@@ -324,8 +331,7 @@ def population_risk_mc(model, gspec: GaussianSpec, k: int, spec: LossSpec,
     BLAS may round a matmul of a few rows differently, but pieces of 512
     rows or more forwarded to the bytes of the whole chunk in every case
     checked. The losses are summed per chunk. A k whose single draw would
-    not fit a chunk is refused. A prior close to 1 is slow: negative
-    classes are redrawn for about 1 / (1 - rho_max) rounds.
+    not fit a chunk is refused.
     """
 
     if gspec.num_classes < 2:

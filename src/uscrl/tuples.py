@@ -252,16 +252,15 @@ def draw_ksubsets(rng: np.random.Generator, n: int, k: int, size: int) -> np.nda
     if k == n:
         return np.tile(np.arange(n, dtype=np.int64), (size, 1))
     if 4 * k >= n:
-        # Dense regime: per-row random keys, take the k smallest. Chunked to
-        # about 2^20 keys, bounding the float keys and argpartition indices;
-        # rng.random fills row-major, so the chunking keeps the rows.
+        # Dense regime: per-row random keys, take the k smallest, about 2^20
+        # keys a chunk; a chunk's keys and argpartition indices die with its
+        # statement. rng.random fills row-major, so the chunking keeps rows.
         out = np.empty((size, k), dtype=np.int64)
         step = max(1, (1 << 20) // n)
         for lo in range(0, size, step):
             hi = min(size, lo + step)
-            keys = rng.random((hi - lo, n))
-            part = np.argpartition(keys, k - 1, axis=1)[:, :k]
-            out[lo:hi] = _sort_rows(part)
+            out[lo:hi] = _sort_rows(np.argpartition(
+                rng.random((hi - lo, n)), k - 1, axis=1)[:, :k])
         return out
     # Sparse regime: rejection on duplicate rows. Ordered distinct k-tuples
     # are uniform, so sorting yields uniform subsets.

@@ -331,8 +331,10 @@ def naive_population_risk(model, gspec, k, spec, num_draws, seed):
 
     A chunk holds max(1, 2^21 // ((k + 2) dim)) draws. Per chunk, from one
     default_rng(seed) stream: the classes from the priors, the (m, k)
-    negative classes, rejection redraws of every negative equal to its
-    tuple's class, then separate standard normal draws for the anchors,
+    negative classes, at most 64 rounds of rejection redraws of every
+    negative equal to its tuple's class, a draw of the negatives still
+    equal to it from the priors without that class, anchor class by
+    anchor class, then separate standard normal draws for the anchors,
     the positives and the (m, k) negatives, each center + sigma * z. The
     rows are concatenated and forwarded with ReLU as a copy, scored with a
     broadcast diff, and the losses summed per chunk. Returns the
@@ -352,9 +354,17 @@ def naive_population_risk(model, gspec, k, spec, num_draws, seed):
         cls = rng.choice(c, size=m, p=priors)
         negc = rng.choice(c, size=(m, k), p=priors)
         bad = negc == cls[:, None]
-        while bad.any():
+        for _ in range(64):
+            if not bad.any():
+                break
             negc[bad] = rng.choice(c, size=int(bad.sum()), p=priors)
             bad = negc == cls[:, None]
+        for a in range(c):
+            left = bad & (cls[:, None] == a)
+            if left.any():
+                q = priors.copy()
+                q[a] = 0.0
+                negc[left] = rng.choice(c, size=int(left.sum()), p=q / q.sum())
         xa = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
         xp = gspec.centers[cls] + gspec.sigma * rng.standard_normal((m, dim))
         xn = gspec.centers[negc] + gspec.sigma * rng.standard_normal((m, k, dim))

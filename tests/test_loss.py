@@ -248,9 +248,11 @@ class TestScores:
     @pytest.mark.parametrize("b", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                    3 * _BLOCK + 37])
     def test_blocked_scores_equal_whole_block(self, b, k):
-        # scores_from_reps scores _BLOCK tuples at a time; on the identity
-        # gather of a tuple-major block and on a random gather it gives
-        # the scores of _scores over the whole block
+        # scores_from_reps scores _BLOCK tuples at a time. On the identity
+        # gather of a tuple-major block and on a random gather from a pool
+        # of n**2 > b * k rows it gives the scores of _scores over the
+        # whole block; from a pool of n**2 <= b * k rows it gives one
+        # lookup G[a, p] - G[a, q] over the whole batch
         rng = np.random.default_rng(90 + k)
         rows = b * (k + 2)
         r = rng.standard_normal((rows, 7))
@@ -259,12 +261,19 @@ class TestScores:
                                idx[2 * b:].reshape(b, k))
         assert got.shape == (b, k)
         assert (got == _scores(r, b, k)[2]).all()
-        reps = rng.standard_normal((50, 7))
-        a, p = rng.integers(0, 50, b), rng.integers(0, 50, b)
-        neg = rng.integers(0, 50, (b, k))
-        whole = np.take(reps, np.concatenate([a, p, neg.ravel()]), axis=0)
-        got = scores_from_reps(reps, a, p, neg)
-        assert (got == _scores(whole, b, k)[2]).all()
+        for n in (math.isqrt(b * k), math.isqrt(b * k) + 1):
+            reps = rng.standard_normal((n, 7))
+            a, p = rng.integers(0, n, b), rng.integers(0, n, b)
+            neg = rng.integers(0, n, (b, k))
+            if n * n <= b * k:
+                g = reps @ reps.T
+                want = g[a, p][:, None] - g[a[:, None], neg]
+            else:
+                whole = np.take(reps, np.concatenate([a, p, neg.ravel()]),
+                                axis=0)
+                want = _scores(whole, b, k)[2]
+            got = scores_from_reps(reps, a, p, neg)
+            assert got.tobytes() == want.tobytes(), n
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_empty_batch_gives_empty_scores(self, k):
@@ -289,31 +298,33 @@ class TestScores:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("d", [1, 6, 33, 128])
-    @pytest.mark.parametrize("n", [3, 8, 32])
-    def test_score_table_parity(self, n, d, k):
-        # a call of b * k >= n**3 scores looks its scores up in the n**3
-        # table; on either side of that line, and far above it, they equal
-        # _scores over the gathered rows, one _BLOCK of tuples at a time
-        rng = np.random.default_rng(1000 * n + 10 * d + k)
-        reps = rng.standard_normal((n, d))
-        edge = -(-n ** 3 // k)  # fewest tuples that take the table
-        for b in (edge - 1, edge, 4 * edge + 5):
+    @pytest.mark.parametrize("s", [3, 8, 32])
+    def test_gram_scores_match_naive(self, s, d, k):
+        # b = k * s**2 tuples over n = k * s - 1, k * s and k * s + 1 rows
+        # put n**2 just below, at and just above b * k: the first two read
+        # G = R R^T, the last gathers. Every score is one or two d-term dot
+        # products and a subtraction, on either side and in naive_scores;
+        # a dot product of rows r_a, r_p is off by at most d * eps / 2 *
+        # |r_a| |r_p| <= d * eps / 2 * max|G|, and a subtraction by
+        # eps * max|G|, so they differ by at most 2 * (d + 1) * eps * max|G|
+        rng = np.random.default_rng(1000 * s + 10 * d + k)
+        b = k * s * s
+        for n in (k * s - 1, k * s, k * s + 1):
+            reps = rng.standard_normal((n, d))
             a, p = rng.integers(0, n, b), rng.integers(0, n, b)
             neg = rng.integers(0, n, (b, k))
-            want = np.empty((b, k))
-            for lo in range(0, b, _BLOCK):
-                hi = min(b, lo + _BLOCK)
-                idx = np.concatenate([a[lo:hi], p[lo:hi], neg[lo:hi].ravel()])
-                want[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
             got = scores_from_reps(reps, a, p, neg)
+            want = np.array([naive_scores(reps, *t) for t in zip(a, p, neg)])
+            tol = 2 * (d + 1) * np.finfo(float).eps * (reps * reps).sum(1).max()
             assert got.shape == (b, k)
-            assert (got == want).all(), (b, np.abs(got - want).max())
+            assert np.abs(got - want).max() <= tol, (n, tol)
 
     @pytest.mark.parametrize("d,k", [(6, 2), (33, 5)])
     def test_score_table_peak_memory(self, d, k):
-        # the n**3 table never outgrows the (b, k) output and the look-ups
-        # run one _BLOCK at a time, so a table-side call peaks within
-        # twice its output; gathering the same tuples needs several times it
+        # the Gram matrix (n**2 <= b * k doubles) never outgrows the (b, k)
+        # output and the look-ups run one _BLOCK at a time, so a Gram-side
+        # call peaks within twice its output; gathering the same tuples
+        # needs several times it
         n, b = 32, 8 * _BLOCK
         rng = np.random.default_rng(d)
         reps = rng.standard_normal((n, d))

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -415,11 +418,12 @@ class TestPopulationRisk:
         assert math.isfinite(est.value)
 
     @staticmethod
-    def _check_oracle(dim, k, family, num_draws, out_dim=8):
+    def _check_oracle(dim, k, family, num_draws, out_dim=8,
+                      priors=(0.9, 0.05, 0.05)):
         # the 0.9 prior makes most negative classes collide and forces
         # rejection redraws
         spec_g = GaussianSpec.random(3, dim=dim, sigma=0.5, seed=13,
-                                     priors=[0.9, 0.05, 0.05])
+                                     priors=priors)
         model = (rand_linear(dim, out_dim, seed=14) if family == "linear"
                  else rand_mlp([dim, 16, out_dim], seed=15))
         for kind, clip in (("logistic", None), ("hinge", 2.0)):
@@ -427,6 +431,52 @@ class TestPopulationRisk:
             got = population_risk_mc(model, spec_g, k, spec, num_draws, seed=16)
             assert got == naive_population_risk(model, spec_g, k, spec,
                                                  num_draws, seed=16)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_oracle_past_the_rejection_rounds(self, k):
+        # with a 0.99 prior a class-0 anchor's negative is still class 0
+        # after 64 redraws with probability 0.99**64 = 0.53, so most of
+        # them are drawn directly from the other two classes
+        self._check_oracle(8, k, "linear", 3000, priors=(0.99, 0.005, 0.005))
+
+    def test_direct_negative_draws_follow_the_law(self):
+        # centers e0, e1 and -e0 with sigma 1e-9 and f the identity: a
+        # tuple of anchor class a and negative class z scores
+        # |c_a|^2 - c_a . c_z, 1 or 2 here, so the mean loss weighs each
+        # (a, z) by rho(a) rho(z) / (1 - rho(a)). With a 0.998 prior, 88%
+        # of the class-0 anchors' negatives come from the direct draw
+        centers = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
+        rho = np.array([0.998, 0.001, 0.001])
+        spec_g = GaussianSpec(centers=centers, sigma=1e-9, priors=rho)
+        model = LinearModel(np.eye(3), max_col_sum=3.0, max_spectral=1.0)
+        est = population_risk_mc(model, spec_g, 1, LossSpec(), 20000, seed=3)
+        g = centers @ centers.T
+        want = sum(rho[a] * rho[z] / (1 - rho[a])
+                   * math.log1p(math.exp(g[a, z] - g[a, a]))
+                   for a in range(3) for z in range(3) if z != a)
+        assert abs(est.value - want) < 5 * est.std_error, (est, want)
+
+    def test_prior_near_one_finishes(self):
+        # rejection alone would redraw a class-0 anchor's negatives about
+        # 1e9 times; in a subprocess with a timeout, a regression fails
+        # instead of hanging the suite
+        code = (
+            "from uscrl.dataset import GaussianSpec\n"
+            "from uscrl.loss import LossSpec\n"
+            "from uscrl.model import make_mlp\n"
+            "from uscrl.risk import population_risk_mc\n"
+            "g = GaussianSpec.random(2, dim=4, seed=0,"
+            " priors=[0.999999999, 1e-9])\n"
+            "m = make_mlp([4, 3], 1.0, 0, ['identity'], 3.0)\n"
+            "e = population_risk_mc(m, g, 2, LossSpec.for_k(2), 1000, 0)\n"
+            "print(e.n_terms, e.value)\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        n_terms, value = proc.stdout.split()
+        assert n_terms == "1000" and math.isfinite(float(value))
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("family", ["linear", "mlp"])
@@ -439,7 +489,7 @@ class TestPopulationRisk:
     @pytest.mark.parametrize("dim,k", [(8, 2), (96, 3), (784, 9)])
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_matches_oracle_in_one_and_several_pieces(self, dim, k, family):
-        # a chunk is forwarded in even pieces of at most _BLOCK rows. Full
+        # a chunk is forwarded in even pieces of at most _PIECE rows. Full
         # chunks: dim 8 gives 64 pieces of 4,096 rows, dim 96 six uneven
         # pieces of 3,640 or 3,641 rows, dim 784 one piece of 2,673 rows.
         # The ragged fourth chunk: 22 uneven pieces, two uneven pieces and
@@ -460,12 +510,12 @@ class TestPopulationRisk:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_matches_oracle_in_one_chunk_shorter_than_a_piece(self, family):
         # 37 draws at dim 96, k 3: the only chunk is 185 rows, one piece
-        # shorter than _BLOCK, so the draw buffer is sized by num_draws
+        # shorter than _PIECE, so the draw buffer is sized by num_draws
         self._check_oracle(96, 3, family, 37)
 
     def test_peak_memory_stays_near_one_chunk(self):
         # one chunk holds 2^21 input doubles (16 MiB), but its normals are
-        # drawn one piece of at most _BLOCK rows at a time: the piecewise
+        # drawn one piece of at most _PIECE rows at a time: the piecewise
         # draws, forward pass and the chunk's scores must fit in 0.75 of a
         # chunk, which a chunk-sized draw buffer alone would fill
         spec_g = GaussianSpec.random(3, dim=96, seed=17)
