@@ -21,6 +21,13 @@ asks for at least n**2 scores (batch * k >= n**2) reads each score as
 G[a, p] - G[a, q] from the Gram matrix G = R R^T; a smaller call gathers
 each tuple's rows and scores them. The two paths agree to rounding, not
 to the bit.
+
+The SGD step has the same two sides. ``block_loss_grad`` scores a
+gathered tuple-major block and returns a gradient for each gathered row;
+``gram_loss_grad`` scores from G and returns the gradient of every pool
+row as (S + S^T) R, with S the score gradients summed onto G's entries.
+``model.tuple_batch_backward`` picks between them. Both sides read G
+through one flat index, a * n + p.
 """
 
 from __future__ import annotations
@@ -155,11 +162,52 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
                                   negatives[lo:hi].ravel()])
             v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
         else:
-            row = np.asarray(anchors[lo:hi], dtype=np.int64) * n
-            np.subtract(np.take(gram, row + positives[lo:hi])[:, None],
-                        np.take(gram, negatives[lo:hi] + row[:, None]),
-                        out=v[lo:hi])
+            g = np.take(gram, _gram_index(n, anchors[lo:hi], positives[lo:hi],
+                                          negatives[lo:hi]))
+            np.subtract(g[0], g[1:], out=v[lo:hi].T)
     return v
+
+
+def _gram_index(n: int, anchors, positives, negatives) -> np.ndarray:
+    """Flat indices into a raveled (n, n) Gram matrix, k-major (k+1, b):
+    row 0 holds a*n + p and row 1+i holds a*n + q_i, so a tuple's scores
+    G[a, p] - G[a, q_i] are row 0 minus each later row. An index outside
+    range(n) raises IndexError; unchecked, it would read another entry."""
+    b, k = negatives.shape
+    a = np.asarray(anchors, dtype=np.int64)
+    flat = np.empty((k + 1, b), dtype=np.int64)
+    flat[0] = positives
+    flat[1:] = negatives.T
+    # read as unsigned, a negative index lies above every n
+    if b and max(flat.view(np.uint64).max(), a.view(np.uint64).max()) >= n:
+        raise IndexError(f"tuple index out of range for a pool of {n} rows")
+    flat += a * n
+    return flat
+
+
+def gram_loss_grad(spec: LossSpec, reps: np.ndarray, anchors, positives,
+                   negatives):
+    """Clipped losses (b,) of tuples over a pool of n rows reps, scored
+    from G = reps @ reps.T, and the gradient (n, d) of their mean in every
+    row of reps.
+
+    The score gradients, divided by b, go onto G's entries by one
+    np.bincount over n**2 bins: +sum_i g_i at (a, p) and -g_i at each
+    (a, q_i). That sum S gives the rows' gradient (S + S^T) reps, since
+    G[a, p] = reps[a] . reps[p]."""
+    negatives = np.asarray(negatives)
+    b, k = negatives.shape
+    n = reps.shape[0]
+    flat = _gram_index(n, anchors, positives, negatives)
+    g = np.take((reps @ reps.T).ravel(), flat)
+    losses, gt = _value_and_grad(spec, np.subtract(g[0], g[1:]))
+    gv = np.divide(gt, b, out=gt)  # gradient of the batch mean, (k, b)
+    w = np.empty((k + 1, b))
+    gv.sum(axis=0, out=w[0])
+    np.negative(gv, out=w[1:])
+    s = np.bincount(flat.ravel(), weights=w.ravel(),
+                    minlength=n * n).reshape(n, n)
+    return losses, (s + s.T) @ reps
 
 
 def block_loss_grad(spec: LossSpec, r: np.ndarray, b: int, k: int):

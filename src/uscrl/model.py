@@ -12,6 +12,9 @@ step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
 when the Frobenius norm or a Gershgorin bound on the Gram matrix
 already certifies the cap. Backward computes the exact gradient of the
 mean clipped tuple loss, including the zero gradient on clipped tuples.
+It has two sides: a small pool's whole-pool batch scores from the pool's
+Gram matrix (``loss.gram_loss_grad``), and every other batch gathers its
+tuples' representation rows (``loss.block_loss_grad``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import (atomic_write, read_exact, read_json, read_payload,
                      write_json)
-from .loss import LossSpec, block_loss_grad
+from .loss import LossSpec, block_loss_grad, gram_loss_grad
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
@@ -41,6 +44,9 @@ ACTIVATIONS = ("relu", "identity")
 # Rows the batch skips add zero rows to the backward's sum over rows, which
 # BLAS may block differently, so the whole-pool side can move a gradient's
 # last bits (seen for MLPs, and for linear maps on pools of 1,500+ rows).
+# A whole-pool batch of n**2 <= b*(k+2)*d (d the output dim) scores from
+# the pool's Gram matrix, no larger than the (b*(k+2), d) gathered block;
+# that side agrees with gathering to rounding, not to the bit.
 WHOLE_POOL_RATIO = 2
 
 
@@ -230,10 +236,14 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
 
     A batch of b*(k+2) >= WHOLE_POOL_RATIO * n index entries (ratio 2)
     forwards the whole pool, indexed by its own columns; a smaller one
-    forwards its distinct rows (a mask, no sort). np.take gathers their
-    representations tuple-major, loss.block_loss_grad gives losses and row
-    gradients, and one np.bincount sums those onto rows in entry order
-    (anchor, positive, negative) before the single backward pass.
+    forwards its distinct rows (a mask, no sort). A whole-pool batch with
+    n**2 <= b*(k+2)*d, d the output dim, takes the Gram side:
+    loss.gram_loss_grad gives the losses and every pool row's gradient
+    from G = R R^T, which then holds no more doubles than the gathered
+    block would. Otherwise np.take gathers the representations
+    tuple-major, loss.block_loss_grad gives losses and row gradients, and
+    one np.bincount sums those onto rows in entry order (anchor, positive,
+    negative). Either side ends in the single backward pass.
     """
 
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -243,19 +253,27 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
         raise ConfigError("negatives must be (batch, k)")
     b, k = negatives.shape
 
-    x, inverse = ds.x, np.concatenate([anchors, positives, negatives.ravel()])
-    if inverse.size < WHOLE_POOL_RATIO * ds.n:
-        x, inverse = _pool_rows(x, inverse)
-    hs = _forward_cached(model, x)
-    m, d = hs[-1].shape
-    losses, blocks = block_loss_grad(spec, np.take(hs[-1], inverse, axis=0),
-                                     b, k)
-    # bin j*m + row holds feature j of a row, so each bin's terms arrive
-    # in entry order; the sums go back to row-major for backprop, since
-    # BLAS may round a transposed operand differently
-    bins = (np.arange(0, d * m, m)[:, None] + inverse).ravel()
-    grad_reps = np.ascontiguousarray(np.bincount(
-        bins, weights=blocks.T.ravel(), minlength=d * m).reshape(d, m).T)
+    n, entries = ds.n, b * (k + 2)
+    whole = entries >= WHOLE_POOL_RATIO * n
+    if whole and n * n <= entries * model.weights[-1].shape[0]:
+        hs = _forward_cached(model, ds.x)
+        losses, grad_reps = gram_loss_grad(spec, hs[-1], anchors, positives,
+                                           negatives)
+    else:
+        x, inverse = ds.x, np.concatenate([anchors, positives,
+                                           negatives.ravel()])
+        if not whole:
+            x, inverse = _pool_rows(x, inverse)
+        hs = _forward_cached(model, x)
+        m, d = hs[-1].shape
+        losses, blocks = block_loss_grad(
+            spec, np.take(hs[-1], inverse, axis=0), b, k)
+        # bin j*m + row holds feature j of a row, so each bin's terms
+        # arrive in entry order; the sums go back to row-major for
+        # backprop, since BLAS may round a transposed operand differently
+        bins = (np.arange(0, d * m, m)[:, None] + inverse).ravel()
+        grad_reps = np.ascontiguousarray(np.bincount(
+            bins, weights=blocks.T.ravel(), minlength=d * m).reshape(d, m).T)
 
     grads = _backprop(model, hs, grad_reps)
     if not all(np.isfinite(g).all() for g in grads):

@@ -1282,29 +1282,38 @@ class TestTrain:
         assert ((out_a / "checkpoint.bin").read_bytes()
                 == (out_b / "checkpoint.bin").read_bytes())
 
-        # dim 96, each run in a fresh interpreter: eval_draws 10000 spans
-        # three population Monte Carlo chunks (4,369 draws each at k 3),
-        # and the linear (2,1) cap of 2 sits below the init's ~4.6, so
-        # every projection scales by that cap
+        # each run in a fresh interpreter. At dim 96, eval_draws 10000
+        # spans three population Monte Carlo chunks (4,369 draws each at
+        # k 3), and the linear (2,1) cap of 2 sits below the init's ~4.6,
+        # so every projection scales by that cap. On the dim-8 pool of 40,
+        # every SGD step takes the Gram side
         ds = {"type": "gaussian", "num_classes": 3, "dim": 96, "sigma": 0.5,
               "n": 200}
         common = {"out_dim": 8, "epochs": 2, "m_tuples": 400,
                   "eval_draws": 10000}
-        for family in ({"family": "mlp", "hidden": [32]},
-                       {"family": "linear", "max_col_sum": 2.0}):
-            cfg = {"dataset": ds, "k": 3, "seed": 4,
-                   "train": {**family, **common}}
-            outs = []
+        small = {"type": "gaussian", "num_classes": 3, "dim": 8, "sigma": 0.8,
+                 "n": 40}
+        cfgs = {"mlp": {"dataset": ds, "k": 3, "seed": 4, "train": {
+                    "family": "mlp", "hidden": [32], **common}},
+                "linear": {"dataset": ds, "k": 3, "seed": 4, "train": {
+                    "family": "linear", "max_col_sum": 2.0, **common}},
+                "gram": {"dataset": small, "k": 2, "seed": 4, "train": {
+                    "family": "linear", "out_dim": 6, "epochs": 2,
+                    "batch_size": 256, "m_tuples": 2000, "lr": 0.3,
+                    "eval_draws": 2000}}}
+        outs = {}
+        for key, cfg in cfgs.items():
+            outs[key] = []
             for name in ("a", "b"):
-                run_dir = tmp_path / f"{family['family']}_{name}"
+                run_dir = tmp_path / f"{key}_{name}"
                 run_dir.mkdir()
                 proc = run_subprocess(run_dir, "train", cfg)
                 assert proc.returncode == 0, proc.stderr
-                outs.append(run_dir / "out")
+                outs[key].append(run_dir / "out")
             for name in ("checkpoint.bin", "report.json"):
-                assert ((outs[0] / name).read_bytes()
-                        == (outs[1] / name).read_bytes()), (family, name)
-        model = load_checkpoint(str(outs[0] / "checkpoint"))
+                assert ((outs[key][0] / name).read_bytes()
+                        == (outs[key][1] / name).read_bytes()), (key, name)
+        model = load_checkpoint(str(outs["linear"][0] / "checkpoint"))
         assert model.max_col_sum == 2.0
         col_sum = np.linalg.norm(model.weights[0], axis=1).sum()
         assert col_sum == pytest.approx(2.0, rel=1e-9, abs=0)

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from uscrl.errors import ConfigError
 from uscrl.loss import (_BLOCK, LOSS_KINDS, LossSpec, _scores,
-                        block_loss_grad, default_clip, loss_grad, loss_value,
-                        scores_from_reps, tuple_losses)
+                        block_loss_grad, default_clip, gram_loss_grad,
+                        loss_grad, loss_value, scores_from_reps, tuple_losses)
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
@@ -320,7 +320,7 @@ class TestScores:
             assert np.abs(got - want).max() <= tol, (n, tol)
 
     @pytest.mark.parametrize("d,k", [(6, 2), (33, 5)])
-    def test_score_table_peak_memory(self, d, k):
+    def test_gram_scores_peak_memory(self, d, k):
         # the Gram matrix (n**2 <= b * k doubles) never outgrows the (b, k)
         # output and the look-ups run one _BLOCK at a time, so a Gram-side
         # call peaks within twice its output; gathering the same tuples
@@ -337,6 +337,19 @@ class TestScores:
         finally:
             tracemalloc.stop()
         assert peak < 2 * got.nbytes, (peak, got.nbytes)
+
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_gram_side_rejects_out_of_range_index(self, col, bad):
+        # unchecked, a flat index a * n + n would read G[a + 1, 0]
+        reps = np.random.default_rng(7).standard_normal((6, 3))
+        cols = [np.zeros(64, dtype=np.int64), np.ones(64, dtype=np.int64),
+                np.full((64, 1), 2, dtype=np.int64)]
+        cols[col][5] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            scores_from_reps(reps, *cols)
+        with pytest.raises(IndexError, match="out of range"):
+            gram_loss_grad(LossSpec(), reps, *cols)
 
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))

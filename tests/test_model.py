@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from uscrl import model as model_mod
 from uscrl.errors import ConfigError, FormatError, NumericError
-from uscrl.loss import LossSpec, loss_value, tuple_losses
+from uscrl.loss import LossSpec, loss_value, scores_from_reps, tuple_losses
 from uscrl.model import (CHECKPOINT_MAGIC, LinearModel, MlpModel,
                          load_checkpoint, make_mlp,
                          mean_classifier, project, save_checkpoint,
@@ -348,11 +349,27 @@ class TestBackward:
             np.testing.assert_allclose(gb, gs / ts.m_count, rtol=1e-12,
                                        atol=1e-15)
 
+    @staticmethod
+    def _spy_sides(monkeypatch) -> list:
+        """A list that records, per tuple_batch_backward call, "gram" or
+        "gather" by the loss function the call reaches."""
+        sides = []
+        for side, name in (("gram", "gram_loss_grad"),
+                           ("gather", "block_loss_grad")):
+            def spy(*args, _side=side, _fn=getattr(model_mod, name)):
+                sides.append(_side)
+                return _fn(*args)
+            monkeypatch.setattr(model_mod, name, spy)
+        return sides
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("kind", ["logistic", "hinge"])
     @pytest.mark.parametrize("pool", ["every_row_repeated", "mostly_untouched",
-                                      "whole_pool_untouched"])
-    def test_linear_gradient_matches_loop_oracle(self, k, kind, pool):
+                                      "whole_pool_untouched", "gram_untouched",
+                                      "whole_pool_above_gram"])
+    def test_linear_gradient_matches_loop_oracle(self, monkeypatch, k, kind,
+                                                 pool):
+        out_dim = 4
         if pool == "every_row_repeated":
             # the whole enumeration twice: every row, every tuple repeated
             ds = make_pool([4, 3, 3], dim=5, seed=40)
@@ -362,19 +379,38 @@ class TestBackward:
         elif pool == "mostly_untouched":
             ds = make_pool([700, 700, 600], dim=5, seed=41)
             ts = subsample_tuples(ds, k, 24, seed=42)
-        else:
+        elif pool == "whole_pool_untouched":
             # just enough tuples for the whole-pool forward, which leaves
             # a few rows with no term
             ds = make_pool([14, 13, 13], dim=5, seed=44)
             m = -(-model_mod.WHOLE_POOL_RATIO * ds.n // (k + 2))
+            ts = subsample_tuples(ds, k, m, seed=44)
+        elif pool == "gram_untouched":
+            # enough tuples for the Gram side, less those that touch rows
+            # 0 and 1, which then have no term
+            ds = make_pool([8, 8, 8], dim=5, seed=48)
+            ts = subsample_tuples(ds, k, 200, seed=49)
+            rows = np.column_stack([ts.anchors, ts.positives, ts.negatives])
+            keep = ~np.isin(rows, [0, 1]).any(axis=1)
+            ts = TupleSet(ts.regime, k, ts.anchors[keep], ts.positives[keep],
+                          ts.negatives[keep], ts.class_ids[keep])
+        else:
+            # the most tuples that still gather the whole pool: one more
+            # would make n**2 <= b * (k + 2) * out_dim and take the Gram side
+            ds = make_pool([14, 13, 13], dim=5, seed=44)
+            m = (ds.n * ds.n - 1) // ((k + 2) * out_dim)
+            assert ds.n ** 2 <= (m + 1) * (k + 2) * out_dim
             ts = subsample_tuples(ds, k, m, seed=44)
         idx = np.concatenate([ts.anchors, ts.positives, ts.negatives.ravel()])
         whole = idx.size >= model_mod.WHOLE_POOL_RATIO * ds.n
         untouched = np.unique(idx).size < ds.n
         assert (whole, untouched) == {"every_row_repeated": (True, False),
                                       "mostly_untouched": (False, True),
-                                      "whole_pool_untouched": (True, True)}[pool]
-        model = rand_linear(5, 4, seed=43)
+                                      "whole_pool_untouched": (True, True),
+                                      "gram_untouched": (True, True),
+                                      "whole_pool_above_gram": (True, False),
+                                      }[pool]
+        model = rand_linear(5, out_dim, seed=43)
         reps = model.forward(ds.x)
         v = np.einsum("bd,bkd->bk", reps[ts.anchors],
                       reps[ts.positives][:, None, :] - reps[ts.negatives])
@@ -383,14 +419,85 @@ class TestBackward:
         # zero-gradient plateau
         spec = LossSpec(kind=kind, clip=float(np.median(raw)))
         assert 0 < (raw >= spec.clip).sum() < ts.m_count
+        sides = self._spy_sides(monkeypatch)
         grads, loss = tuple_batch_backward(model, ds, ts.anchors,
                                            ts.positives, ts.negatives, spec)
+        assert sides == [{"every_row_repeated": "gram",
+                          "gram_untouched": "gram"}.get(pool, "gather")]
         (a,) = model.weights
         want = naive_batch_grad(a, ds.x, ts.anchors, ts.positives,
                                 ts.negatives, kind, spec.clip)
         np.testing.assert_allclose(grads[0], want, rtol=1e-12)
         assert loss == pytest.approx(np.minimum(raw, spec.clip).mean(),
                                      rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "hinge"])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_gram_side_matches_gather_side(self, monkeypatch, family, kind,
+                                           k):
+        # one batch over a 20-row pool takes the Gram side; with the
+        # whole-pool forward switched off, the same batch gathers its rows
+        ds = make_pool([7, 7, 6], dim=5, seed=50 + k)
+        model = (rand_linear(5, 4, seed=51) if family == "linear"
+                 else rand_mlp([5, 6, 4], seed=52))
+        ts = subsample_tuples(ds, k, 128, seed=53)
+        raw = loss_value(LossSpec(kind=kind, clip=1e9), scores_from_reps(
+            model.forward(ds.x), ts.anchors, ts.positives, ts.negatives))
+        spec = LossSpec(kind=kind, clip=float(np.median(raw)))
+        plateau = raw >= spec.clip
+        assert 0 < plateau.sum() < ts.m_count
+        sides = self._spy_sides(monkeypatch)
+
+        def both_sides(rows):
+            cols = (ts.anchors[rows], ts.positives[rows], ts.negatives[rows])
+            gram = tuple_batch_backward(model, ds, *cols, spec)
+            with monkeypatch.context() as m:
+                m.setattr(model_mod, "WHOLE_POOL_RATIO", math.inf)
+                gather = tuple_batch_backward(model, ds, *cols, spec)
+            assert sides == ["gram", "gather"]
+            sides.clear()
+            return gram, gather
+
+        (g_gram, l_gram), (g_gather, l_gather) = both_sides(slice(None))
+        assert l_gram == pytest.approx(l_gather, rel=1e-12)
+        assert l_gram == pytest.approx(np.minimum(raw, spec.clip).mean(),
+                                       rel=1e-12)
+        for gg, gt in zip(g_gram, g_gather):
+            np.testing.assert_allclose(gg, gt, rtol=1e-12)
+        # the plateau tuples alone: every loss at the clip, so their mean
+        # is the clip to rounding, and the gradient is exactly zero
+        for grads, loss in both_sides(plateau):
+            assert loss == pytest.approx(spec.clip, rel=1e-15)
+            for g in grads:
+                assert not g.any()
+
+    def test_gram_side_peak_memory(self, monkeypatch):
+        # G, S and S + S^T hold n**2 <= b * (k + 2) * d doubles each, no
+        # more than the gathered (b * (k + 2), d) block, its row gradients
+        # and their bins, so a Gram-side step peaks no higher than
+        # gathering the same batch
+        for ds, widths, k in ((make_pool([14, 13, 13], dim=8, seed=54),
+                               [8, 6], 2),
+                              (make_pool([34, 34, 33], dim=96, seed=55),
+                               [96, 64, 8], 3)):
+            model = rand_mlp(widths, seed=56)
+            ts = subsample_tuples(ds, k, 256, seed=57)
+            assert ds.n ** 2 <= 256 * (k + 2) * widths[-1]
+            sides = self._spy_sides(monkeypatch)
+            peaks = []
+            for ratio in (model_mod.WHOLE_POOL_RATIO, math.inf):
+                monkeypatch.setattr(model_mod, "WHOLE_POOL_RATIO", ratio)
+                tracemalloc.start()
+                try:
+                    tuple_batch_backward(model, ds, ts.anchors, ts.positives,
+                                         ts.negatives, LossSpec.for_k(k))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert sides == ["gram", "gather"]
+            assert peaks[0] <= peaks[1], peaks
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("m_tuples", [6, 40])  # row subset, whole pool
     def test_output_mask_equals_preactivation_mask(self, monkeypatch,
