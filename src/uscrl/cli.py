@@ -62,6 +62,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
+@functools.cache  # read once per process; callers must not modify it
 def _schema():
     with resources.files("uscrl").joinpath("config_schema.json").open() as f:
         return json.load(f)

@@ -26,8 +26,9 @@ The SGD step has the same two sides. ``block_loss_grad`` scores a
 gathered tuple-major block and returns a gradient for each gathered row;
 ``gram_loss_grad`` scores from G and returns the gradient of every pool
 row as (S + S^T) R, with S the score gradients summed onto G's entries.
-``model.tuple_batch_backward`` picks between them. Both sides read G
-through one flat index, a * n + p.
+``model.tuple_block_backward`` picks between them. Both sides read G
+through one flat index, a * n + p, which ``gram_index`` builds for many
+batches at once; ``check_index`` is the range check that guards it.
 """
 
 from __future__ import annotations
@@ -146,15 +147,18 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
     in range(n), n = len(reps).
 
     A call of batch * k >= n**2 builds G = reps @ reps.T, which is then no
-    larger than the output, and looks each score up as G[a, p] - G[a, q];
-    a smaller call gathers the tuples' rows, one tuple-major np.take per
-    block, and scores them with _scores. Both take _BLOCK tuples at a
-    time, so the temporaries stay cache-sized whatever the batch."""
+    larger than the output, checks every index against range(n) and looks
+    each score up as G[a, p] - G[a, q]; a smaller call gathers the tuples'
+    rows, one tuple-major np.take per block, and scores them with _scores.
+    Both take _BLOCK tuples at a time, so the temporaries stay cache-sized
+    whatever the batch."""
     negatives = np.asarray(negatives)
     b, k = negatives.shape
     n = reps.shape[0]
     v = np.empty((b, k))
     gram = (reps @ reps.T).ravel() if n * n <= b * k else None
+    if gram is not None:
+        check_index(n, anchors, positives, negatives)
     for lo in range(0, b, _BLOCK):
         hi = min(b, lo + _BLOCK)
         if gram is None:
@@ -162,47 +166,58 @@ def scores_from_reps(reps: np.ndarray, anchors, positives, negatives) -> np.ndar
                                   negatives[lo:hi].ravel()])
             v[lo:hi] = _scores(np.take(reps, idx, axis=0), hi - lo, k)[2]
         else:
-            g = np.take(gram, _gram_index(n, anchors[lo:hi], positives[lo:hi],
-                                          negatives[lo:hi]))
+            g = np.take(gram, gram_index(n, anchors[lo:hi], positives[lo:hi],
+                                         negatives[lo:hi])[0])
             np.subtract(g[0], g[1:], out=v[lo:hi].T)
     return v
 
 
-def _gram_index(n: int, anchors, positives, negatives) -> np.ndarray:
-    """Flat indices into a raveled (n, n) Gram matrix, k-major (k+1, b):
-    row 0 holds a*n + p and row 1+i holds a*n + q_i, so a tuple's scores
-    G[a, p] - G[a, q_i] are row 0 minus each later row. An index outside
-    range(n) raises IndexError; unchecked, it would read another entry."""
-    b, k = negatives.shape
-    a = np.asarray(anchors, dtype=np.int64)
-    flat = np.empty((k + 1, b), dtype=np.int64)
-    flat[0] = positives
-    flat[1:] = negatives.T
-    # read as unsigned, a negative index lies above every n
-    if b and max(flat.view(np.uint64).max(), a.view(np.uint64).max()) >= n:
-        raise IndexError(f"tuple index out of range for a pool of {n} rows")
-    flat += a * n
+def check_index(n: int, *cols) -> None:
+    """Raise IndexError unless every entry of the index arrays lies in
+    range(n)."""
+    for c in cols:
+        c = np.asarray(c, dtype=np.int64)
+        # read as unsigned, a negative index lies above every n
+        if c.size and c.view(np.uint64).max() >= n:
+            raise IndexError(
+                f"tuple index out of range for a pool of {n} rows")
+
+
+def gram_index(n: int, anchors, positives, negatives,
+               batch: int | None = None) -> np.ndarray:
+    """Flat indices into a raveled (n, n) Gram matrix for m tuples taken
+    in batches of ``batch`` (default m; m a multiple of it), batch-major:
+    (m // batch, k+1, batch), so each batch's indices are one contiguous
+    k-major block. Its row 0 holds a*n + p and row 1+i holds a*n + q_i, so
+    a tuple's scores G[a, p] - G[a, q_i] are row 0 minus each later row.
+    The indices must lie in range(n) (check_index); unchecked, one outside
+    would read another entry."""
+    negatives = np.asarray(negatives)
+    m, k = negatives.shape
+    batch = batch or m
+    flat = np.empty((m // batch, k + 1, batch), dtype=np.int64)
+    flat[:, 0] = np.reshape(positives, (-1, batch))
+    flat[:, 1:] = negatives.reshape(-1, batch, k).transpose(0, 2, 1)
+    flat += np.asarray(anchors, dtype=np.int64).reshape(-1, 1, batch) * n
     return flat
 
 
-def gram_loss_grad(spec: LossSpec, reps: np.ndarray, anchors, positives,
-                   negatives):
-    """Clipped losses (b,) of tuples over a pool of n rows reps, scored
-    from G = reps @ reps.T, and the gradient (n, d) of their mean in every
-    row of reps.
+def gram_loss_grad(spec: LossSpec, reps: np.ndarray, flat: np.ndarray):
+    """Clipped losses (b,) of b tuples over a pool of n rows reps, scored
+    from G = reps @ reps.T through their (k+1, b) flat index (one batch of
+    gram_index), and the gradient (n, d) of their mean in every row of
+    reps.
 
     The score gradients, divided by b, go onto G's entries by one
     np.bincount over n**2 bins: +sum_i g_i at (a, p) and -g_i at each
     (a, q_i). That sum S gives the rows' gradient (S + S^T) reps, since
     G[a, p] = reps[a] . reps[p]."""
-    negatives = np.asarray(negatives)
-    b, k = negatives.shape
+    b = flat.shape[1]
     n = reps.shape[0]
-    flat = _gram_index(n, anchors, positives, negatives)
     g = np.take((reps @ reps.T).ravel(), flat)
     losses, gt = _value_and_grad(spec, np.subtract(g[0], g[1:]))
     gv = np.divide(gt, b, out=gt)  # gradient of the batch mean, (k, b)
-    w = np.empty((k + 1, b))
+    w = np.empty(flat.shape)
     gv.sum(axis=0, out=w[0])
     np.negative(gv, out=w[1:])
     s = np.bincount(flat.ravel(), weights=w.ravel(),

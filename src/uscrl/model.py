@@ -10,10 +10,14 @@ family as ``"linear"`` or ``"mlp"`` by whether that cap is set.
 Constraints are enforced by multiplicative projection after every SGD
 step; spectral norms are exact (LAPACK SVD), and the SVD is skipped
 when the Frobenius norm or a Gershgorin bound on the Gram matrix
-already certifies the cap. Backward computes the exact gradient of the
-mean clipped tuple loss, including the zero gradient on clipped tuples.
-It has two sides: a small pool's whole-pool batch scores from the pool's
-Gram matrix (``loss.gram_loss_grad``), and every other batch gathers its
+already certifies the cap; the (2,1) row-norm sum is skipped when
+sqrt(rows) times the Frobenius norm certifies that cap. Backward
+computes the exact gradient of the mean clipped tuple loss, including
+the zero gradient on clipped tuples. It runs over a block of batches
+(``tuple_block_backward``), preparing once per block what depends only
+on the tuples: one range check, and each batch's index entries. It has
+two sides: a small pool's whole-pool batch scores from the pool's Gram
+matrix (``loss.gram_loss_grad``), and every other batch gathers its
 tuples' representation rows (``loss.block_loss_grad``).
 """
 
@@ -32,14 +36,15 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, FormatError, NumericError
 from .fileio import (atomic_write, read_exact, read_json, read_payload,
                      write_json)
-from .loss import LossSpec, block_loss_grad, gram_loss_grad
+from .loss import (LossSpec, block_loss_grad, check_index, gram_index,
+                   gram_loss_grad)
 
 CHECKPOINT_MAGIC = b"USCRLW01"
 CHECKPOINT_VERSION = 1
 
 ACTIVATIONS = ("relu", "identity")
 
-# tuple_batch_backward forwards the whole pool once a batch has this many
+# tuple_block_backward forwards the whole pool once a batch has this many
 # index entries per pool row; below it, only the rows the batch touches.
 # Rows the batch skips add zero rows to the backward's sum over rows, which
 # BLAS may block differently, so the whole-pool side can move a gradient's
@@ -151,8 +156,24 @@ def make_mlp(widths, spectral_cap, seed: int, activations=None,
                             max_col_sum))
 
 
-def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
+# sqrt(rows) * ||w||_F bounds the (2,1) row-norm sum, so project skips
+# that sum when the bound times this margin is within the cap. For w of
+# fewer than 2^30 entries each computed sum of squares, and so each norm
+# and the row-norm sum, is within 2^-22 relative of its exact value, and
+# the margin 2^-20 covers both sides' rounding together.
+_ROW_SUM_MARGIN = 1.0 + 2.0 ** -20
+
+
+def _frobenius(w: np.ndarray) -> float:
+    """||w||_F from the one dot that np.linalg.norm(w) computes, so the
+    bits match."""
+    x = w.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _cap_spectral(w: np.ndarray, cap: float, fro: float | None = None):
     """w scaled down to spectral norm cap; w itself when the cap is slack.
+    ``fro`` is ||w||_F when the caller has it.
 
     Two exact certificates skip the SVD: ||w||_2 <= ||w||_F, and sigma^2 is
     at most the largest absolute row sum of the smaller Gram matrix
@@ -160,7 +181,8 @@ def _cap_spectral(w: np.ndarray, cap: float) -> np.ndarray:
     the first test and skip the second, so they reach spectral_norm's check.
     """
 
-    fro = np.linalg.norm(w)
+    if fro is None:
+        fro = _frobenius(w)
     if fro <= cap:
         return w
     if math.isfinite(fro):
@@ -175,18 +197,24 @@ def project(model):
     """Scale weights down onto the constraint set; idempotent.
 
     Multiplicative scaling shrinks every norm by the same factor, so one
-    pass lands exactly on (or inside) each cap.
+    pass lands exactly on (or inside) each cap. A layer the spectral cap
+    leaves as it is keeps its Frobenius norm, which certifies a slack
+    (2,1) cap without the row-norm sum.
     """
 
+    a = model.max_col_sum
     for l, (w, cap) in enumerate(zip(model.weights, model.spectral_caps)):
-        w = _cap_spectral(w, cap)
-        if model.max_col_sum is not None:
+        fro = _frobenius(w)
+        out = _cap_spectral(w, cap, fro)
+        if a is not None and not (
+                out is w
+                and math.sqrt(w.shape[0]) * fro * _ROW_SUM_MARGIN <= a):
             # ||W^T||_{2,1} from squared row norms, the reduction
             # np.linalg.norm(w, axis=1) does
-            cs = float(np.sqrt((w * w).sum(axis=1)).sum())
-            if cs > model.max_col_sum:
-                w = w * (model.max_col_sum / cs)
-        model.weights[l] = w
+            cs = float(np.sqrt((out * out).sum(axis=1)).sum())
+            if cs > a:
+                out = out * (a / cs)
+        model.weights[l] = out
     return model
 
 
@@ -230,20 +258,41 @@ def _pool_rows(x: np.ndarray, idx: np.ndarray):
     return np.take(x, rows, axis=0), lookup[idx]
 
 
-def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
-                         negatives, spec: LossSpec):
-    """Mean clipped loss over a tuple batch and its exact weight gradients.
+def _batch_entries(anchors, positives, negatives, b: int) -> np.ndarray:
+    """Each batch's index entries in gather order (its b anchors, its b
+    positives, then each tuple's k negatives), batch-major: (m // b,
+    b * (k + 2)) for m tuples, m a multiple of b."""
+    nb = len(anchors) // b
+    entries = np.empty((nb, b * (negatives.shape[1] + 2)), dtype=np.int64)
+    entries[:, :b] = anchors.reshape(nb, b)
+    entries[:, b:2 * b] = positives.reshape(nb, b)
+    entries[:, 2 * b:] = negatives.reshape(nb, -1)
+    return entries
 
+
+def tuple_block_backward(model, ds: LabeledDataset, anchors, positives,
+                         negatives, spec: LossSpec, batch_size: int):
+    """Yield, per batch of batch_size tuples of a block (the last may be
+    short), its exact weight gradients and mean clipped loss, reading
+    model.weights as they stand when resumed: the caller steps the
+    weights between batches.
+
+    Once per block: one range check of every index (IndexError outside
+    range(n), on either side), and each batch's Gram flat index
+    (loss.gram_index) or gather entries, batch-major, so a batch reads a
+    contiguous view and a step does only what reads the weights.
+
+    Each batch picks its side, so a short last batch can take another.
     A batch of b*(k+2) >= WHOLE_POOL_RATIO * n index entries (ratio 2)
-    forwards the whole pool, indexed by its own columns; a smaller one
-    forwards its distinct rows (a mask, no sort). A whole-pool batch with
-    n**2 <= b*(k+2)*d, d the output dim, takes the Gram side:
-    loss.gram_loss_grad gives the losses and every pool row's gradient
-    from G = R R^T, which then holds no more doubles than the gathered
-    block would. Otherwise np.take gathers the representations
-    tuple-major, loss.block_loss_grad gives losses and row gradients, and
-    one np.bincount sums those onto rows in entry order (anchor, positive,
-    negative). Either side ends in the single backward pass.
+    forwards the whole pool; a smaller one forwards its distinct rows (a
+    mask, no sort). A whole-pool batch with n**2 <= b*(k+2)*d, d the
+    output dim, takes the Gram side: loss.gram_loss_grad gives the losses
+    and every pool row's gradient from G = R R^T, which then holds no more
+    doubles than the gathered block would. Otherwise np.take gathers the
+    representations tuple-major, loss.block_loss_grad gives losses and row
+    gradients, and one np.bincount sums those onto rows in entry order
+    (anchor, positive, negative). Either side ends in the single backward
+    pass.
     """
 
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -251,34 +300,54 @@ def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
     negatives = np.asarray(negatives, dtype=np.int64)
     if negatives.ndim != 2:
         raise ConfigError("negatives must be (batch, k)")
-    b, k = negatives.shape
+    m, k = negatives.shape
+    n, d = ds.n, model.weights[-1].shape[0]
+    check_index(n, anchors, positives, negatives)
+    full = m - m % batch_size
+    for lo, hi in ((0, full), (full, m)):  # the whole batches, the short one
+        if hi == lo:
+            continue
+        b = min(batch_size, hi - lo)
+        cols = (anchors[lo:hi], positives[lo:hi], negatives[lo:hi])
+        whole = b * (k + 2) >= WHOLE_POOL_RATIO * n
+        gram = whole and n * n <= b * (k + 2) * d
+        for idx in (gram_index(n, *cols, b) if gram
+                    else _batch_entries(*cols, b)):
+            if gram:
+                hs = _forward_cached(model, ds.x)
+                losses, grad_reps = gram_loss_grad(spec, hs[-1], idx)
+            else:
+                x, inverse = (ds.x, idx) if whole else _pool_rows(ds.x, idx)
+                hs = _forward_cached(model, x)
+                rows = hs[-1].shape[0]
+                losses, blocks = block_loss_grad(
+                    spec, np.take(hs[-1], inverse, axis=0), b, k)
+                # bin j*rows + row holds feature j of a row, so each bin's
+                # terms arrive in entry order; the sums go back to
+                # row-major for backprop, since BLAS may round a
+                # transposed operand differently
+                bins = (np.arange(0, d * rows, rows)[:, None]
+                        + inverse).ravel()
+                grad_reps = np.ascontiguousarray(np.bincount(
+                    bins, weights=blocks.T.ravel(),
+                    minlength=d * rows).reshape(d, rows).T)
+            grads = _backprop(model, hs, grad_reps)
+            if not all(np.isfinite(g).all() for g in grads):
+                raise NumericError(
+                    "non-finite gradient in tuple batch backward")
+            yield grads, float(losses.sum() / b)
 
-    n, entries = ds.n, b * (k + 2)
-    whole = entries >= WHOLE_POOL_RATIO * n
-    if whole and n * n <= entries * model.weights[-1].shape[0]:
-        hs = _forward_cached(model, ds.x)
-        losses, grad_reps = gram_loss_grad(spec, hs[-1], anchors, positives,
-                                           negatives)
-    else:
-        x, inverse = ds.x, np.concatenate([anchors, positives,
-                                           negatives.ravel()])
-        if not whole:
-            x, inverse = _pool_rows(x, inverse)
-        hs = _forward_cached(model, x)
-        m, d = hs[-1].shape
-        losses, blocks = block_loss_grad(
-            spec, np.take(hs[-1], inverse, axis=0), b, k)
-        # bin j*m + row holds feature j of a row, so each bin's terms
-        # arrive in entry order; the sums go back to row-major for
-        # backprop, since BLAS may round a transposed operand differently
-        bins = (np.arange(0, d * m, m)[:, None] + inverse).ravel()
-        grad_reps = np.ascontiguousarray(np.bincount(
-            bins, weights=blocks.T.ravel(), minlength=d * m).reshape(d, m).T)
 
-    grads = _backprop(model, hs, grad_reps)
-    if not all(np.isfinite(g).all() for g in grads):
-        raise NumericError("non-finite gradient in tuple batch backward")
-    return grads, float(losses.sum() / b)
+def tuple_batch_backward(model, ds: LabeledDataset, anchors, positives,
+                         negatives, spec: LossSpec):
+    """Mean clipped loss over one tuple batch and its exact weight
+    gradients: the one-batch case of tuple_block_backward."""
+    step = next(tuple_block_backward(model, ds, anchors, positives,
+                                     negatives, spec, max(1, len(negatives))),
+                None)
+    if step is None:
+        raise ConfigError("a tuple batch needs at least one tuple")
+    return step
 
 
 def mean_classifier(reps: np.ndarray, labels: np.ndarray, num_classes: int,

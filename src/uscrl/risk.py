@@ -287,9 +287,10 @@ def _population_scores(model, gspec: GaussianSpec, k: int, num_draws: int,
         # at most 64 rounds; then draw the rest from rho(z) / (1 - rho(c))
         bad = np.flatnonzero(negc == np.repeat(cls, k))
         for _ in range(64):
-            if bad.size:
-                negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
-                bad = bad[negc[bad] == cls[bad // k]]
+            if not bad.size:
+                break
+            negc[bad] = rng.choice(n_cls, size=bad.size, p=priors)
+            bad = bad[negc[bad] == cls[bad // k]]
         for c in np.unique(cls[bad // k]):
             at = bad[cls[bad // k] == c]
             q = np.where(np.arange(n_cls) == c, 0.0, priors)

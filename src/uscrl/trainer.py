@@ -3,7 +3,11 @@
 Training minimizes the mean clipped tuple loss with mini-batch SGD,
 projecting back onto the norm-constraint set after every step. Tuples
 come from one of the three regimes; the sub-sampled regime can redraw
-its M tuples each epoch or keep one fixed draw.
+its M tuples each epoch or keep one fixed draw. Each epoch's permutation
+is walked in blocks of whole batches, about _BLOCK tuples each: one
+np.take per tuple column per block, and ``model.tuple_block_backward``
+prepares the block's index entries and range check once, so each step
+does only the work that reads the current weights.
 
 ``compare_regimes`` mirrors the pool-based comparison experiment for one
 seed: one set of n disjoint tuples, a sub-sampled run for each tuple
@@ -23,13 +27,14 @@ import numpy as np
 from .dataset import GaussianSpec, LabeledDataset, generate_gaussian
 from .errors import ConfigError, NumericError, PreconditionError
 from .loss import LossSpec
-from .model import make_mlp, mean_classifier, project, tuple_batch_backward
+from .model import make_mlp, mean_classifier, project, tuple_block_backward
 from .risk import MonteCarlo, child_seed, population_risk_mc, ustat_overall
 from .tuples import (DEFAULT_CAP, REGIME_ALL, REGIME_IID, REGIME_SUB,
                      REGIMES, TupleSet, count_all_tuples, disjoint_tuples,
                      regime_tuples)
 
 REF_EPOCH_MULT = 3  # epoch multiplier of the complexity reference model
+_BLOCK = 4096  # about this many tuples, in whole batches, per SGD block
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
     """
 
     spec = cfg.loss_spec()
+    block = cfg.batch_size * max(1, _BLOCK // cfg.batch_size)
     model = _build_model(cfg, ds.dim)
     velocity = [np.zeros_like(w) for w in model.weights]
     rng = np.random.default_rng(child_seed(cfg.seed, 0))
@@ -170,27 +176,29 @@ def train(ds: LabeledDataset, cfg: TrainConfig,
         ts = fixed if fixed is not None else _draw_tuples(ds, cfg, epoch)
         order = rng.permutation(ts.m_count)
         loss_sum = 0.0
-        for lo in range(0, ts.m_count, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            try:
-                grads, batch_loss = tuple_batch_backward(
-                    model, ds, np.take(ts.anchors, idx),
-                    np.take(ts.positives, idx),
-                    np.take(ts.negatives, idx, axis=0), spec)
-            except NumericError as e:
-                raise NumericError(
-                    f"{e} at step {n_steps} (epoch {epoch})") from None
-            if not math.isfinite(batch_loss):
-                raise NumericError(
-                    f"training loss diverged at step {n_steps} (epoch {epoch})")
-            for v, g in zip(velocity, grads):
-                v *= cfg.momentum
-                v += g
-            model.weights = [w - cfg.lr * v
-                             for w, v in zip(model.weights, velocity)]
-            project(model)
-            loss_sum += batch_loss * idx.size
-            n_steps += 1
+        for lo in range(0, ts.m_count, block):
+            idx = order[lo:lo + block]
+            steps = tuple_block_backward(
+                model, ds, np.take(ts.anchors, idx),
+                np.take(ts.positives, idx),
+                np.take(ts.negatives, idx, axis=0), spec, cfg.batch_size)
+            for b_lo in range(0, idx.size, cfg.batch_size):
+                try:
+                    grads, batch_loss = next(steps)
+                except NumericError as e:
+                    raise NumericError(
+                        f"{e} at step {n_steps} (epoch {epoch})") from None
+                if not math.isfinite(batch_loss):
+                    raise NumericError(f"training loss diverged at step "
+                                       f"{n_steps} (epoch {epoch})")
+                for v, g in zip(velocity, grads):
+                    v *= cfg.momentum
+                    v += g
+                model.weights = [w - cfg.lr * v
+                                 for w, v in zip(model.weights, velocity)]
+                project(model)
+                loss_sum += batch_loss * min(cfg.batch_size, idx.size - b_lo)
+                n_steps += 1
         epoch_losses.append(loss_sum / ts.m_count)
         last = epoch + 1 == cfg.epochs
         if last or (cfg.eval_every and (epoch + 1) % cfg.eval_every == 0):

@@ -379,3 +379,38 @@ def naive_population_risk(model, gspec, k, spec, num_draws, seed):
         done += m
     return RiskEstimate(s / num_draws, "population_mc", num_draws,
                         std_error=_std_error(s, sq, num_draws), seed=seed)
+
+
+def naive_train(model, ds, ts, spec, epochs, batch_size, lr, momentum,
+                seed):
+    """Projected heavy-ball SGD on a pinned tuple set, batch by batch.
+
+    Per epoch one permutation from a default_rng(seed) stream; per batch
+    of batch_size tuples in that order, an np.take of each tuple column,
+    tuple_batch_backward, v <- momentum * v + g, then
+    w <- project(w - lr * v). Steps ``model`` in place and returns the
+    per-epoch mean losses, each batch's mean weighted by its size.
+    """
+    from uscrl.model import project, tuple_batch_backward
+
+    rng = np.random.default_rng(seed)
+    velocity = [np.zeros_like(w) for w in model.weights]
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(ts.m_count)
+        loss_sum = 0.0
+        for lo in range(0, ts.m_count, batch_size):
+            idx = order[lo:lo + batch_size]
+            grads, loss = tuple_batch_backward(
+                model, ds, np.take(ts.anchors, idx),
+                np.take(ts.positives, idx),
+                np.take(ts.negatives, idx, axis=0), spec)
+            for v, g in zip(velocity, grads):
+                v *= momentum
+                v += g
+            model.weights = [w - lr * v
+                             for w, v in zip(model.weights, velocity)]
+            project(model)
+            loss_sum += loss * idx.size
+        epoch_losses.append(loss_sum / ts.m_count)
+    return epoch_losses

@@ -243,6 +243,15 @@ class TestSample:
         assert code == 2
         assert "config field" in capsys.readouterr().err
 
+    def test_schema_is_read_once_per_process(self, tmp_path):
+        cfg = {"dataset": TOY_DS, "k": 1, "regime": "all_tuples"}
+        assert run(tmp_path, "sample", cfg)[0] == 0
+        schema, misses = cli._schema(), cli._schema.cache_info().misses
+        # a second run validates against the same parsed object
+        assert run(tmp_path, "sample", cfg)[0] == 0
+        assert cli._schema.cache_info().misses == misses
+        assert cli._schema() is schema
+
     def test_missing_required_field(self, tmp_path, capsys):
         cfg = {"dataset": TOY_DS, "regime": "all_tuples"}
         code, _ = run(tmp_path, "sample", cfg)

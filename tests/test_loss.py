@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from uscrl import model as model_mod
+from uscrl.dataset import LabeledDataset
 from uscrl.errors import ConfigError
 from uscrl.loss import (_BLOCK, LOSS_KINDS, LossSpec, _scores,
-                        block_loss_grad, default_clip, gram_loss_grad,
-                        loss_grad, loss_value, scores_from_reps, tuple_losses)
+                        block_loss_grad, default_clip, loss_grad, loss_value,
+                        scores_from_reps, tuple_losses)
+from uscrl.model import tuple_batch_backward
 from uscrl.tuples import enumerate_all_tuples, subsample_tuples
 
 from conftest import make_pool, rand_linear
@@ -340,16 +343,42 @@ class TestScores:
 
     @pytest.mark.parametrize("col", [0, 1, 2])
     @pytest.mark.parametrize("bad", [-1, 6])
-    def test_gram_side_rejects_out_of_range_index(self, col, bad):
-        # unchecked, a flat index a * n + n would read G[a + 1, 0]
+    def test_gram_side_rejects_out_of_range_index(self, monkeypatch, col,
+                                                  bad):
+        # unchecked, a flat index a * n + n would read G[a + 1, 0], and a
+        # gather would wrap -1 onto the last row
         reps = np.random.default_rng(7).standard_normal((6, 3))
         cols = [np.zeros(64, dtype=np.int64), np.ones(64, dtype=np.int64),
                 np.full((64, 1), 2, dtype=np.int64)]
         cols[col][5] = bad
         with pytest.raises(IndexError, match="out of range"):
             scores_from_reps(reps, *cols)
-        with pytest.raises(IndexError, match="out of range"):
-            gram_loss_grad(LossSpec(), reps, *cols)
+        # the SGD step over a pool of these rows and a 3 -> 1 linear map:
+        # 59 tuples take the Gram side, 5 gather the whole pool and 1
+        # gathers its touched rows (_pool_rows); every side raises, and with
+        # a valid index in place of the bad one each takes its side
+        ds = LabeledDataset(x=reps, y=np.array([0, 0, 0, 1, 1, 1]),
+                            num_classes=2)
+        model = rand_linear(3, 1, seed=8)
+        sides = []
+        for side, name in (("gram", "gram_loss_grad"),
+                           ("gather", "block_loss_grad"),
+                           ("rows", "_pool_rows")):
+            def spy(*args, _side=side, _fn=getattr(model_mod, name)):
+                sides.append(_side)
+                return _fn(*args)
+            monkeypatch.setattr(model_mod, name, spy)
+        for rows, want in ((slice(5, None), ["gram"]),
+                           (slice(3, 8), ["gather"]),
+                           (slice(5, 6), ["rows", "gather"])):
+            batch = [c[rows] for c in cols]
+            with pytest.raises(IndexError, match="out of range"):
+                tuple_batch_backward(model, ds, *batch, LossSpec())
+            assert sides == []
+            valid = [np.where(c == bad, 3, c) for c in batch]
+            tuple_batch_backward(model, ds, *valid, LossSpec())
+            assert sides == want
+            sides.clear()
 
     def test_tuple_losses_matches_direct(self, toy_pool, toy_model):
         spec = LossSpec(clip=default_clip(1))

@@ -182,6 +182,40 @@ class TestInitAndProjection:
         for w0, w1 in zip(ws, mlp.weights):
             np.testing.assert_array_equal(w1, w0)
 
+    @pytest.mark.parametrize("spectral", ["frobenius", "svd"])
+    @pytest.mark.parametrize("kind", ["random", "equal_rows", "tall"])
+    def test_row_sum_certificate(self, kind, spectral):
+        """Where sqrt(rows) * ||W||_F certifies the (2,1) cap, the computed
+        row-norm sum is within it, and project's bytes are those of the
+        full computation."""
+        rng = np.random.default_rng(15)
+        w = {"random": lambda: rng.standard_normal((6, 8)),
+             # equal row norms make sqrt(rows) * ||W||_F the row-norm sum
+             "equal_rows": lambda: np.full((6, 8), 0.3),
+             "tall": lambda: rng.standard_normal((40, 3))}[kind]()
+        fro = np.linalg.norm(w)
+        # the spectral cap is slack: by the Frobenius certificate, or by
+        # the SVD with sigma just under the cap
+        s = {"frobenius": fro,
+             "svd": np.linalg.svd(w, compute_uv=False)[0] * (1 + 1e-9)}[
+            spectral]
+        cs = float(np.sqrt((w * w).sum(axis=1)).sum())
+        bound = math.sqrt(w.shape[0]) * fro * model_mod._ROW_SUM_MARGIN
+        caps = [cs * (1 - 1e-12), cs, np.nextafter(cs, np.inf),
+                0.5 * (cs + bound), np.nextafter(bound, 0.0), bound,
+                np.nextafter(bound, np.inf), 2.0 * bound]
+        certified = [bound <= a for a in caps]
+        assert 0 < sum(certified) < len(caps)
+        for a, cert in zip(caps, certified):
+            if cert:
+                assert cs <= a
+            model = LinearModel(w.copy(), max_col_sum=a, max_spectral=s)
+            project(model)
+            full = model_mod._cap_spectral(w, s)
+            assert full is w
+            full = w if cs <= a else w * (a / cs)
+            assert model.weights[0].tobytes() == full.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_projection_rejects_non_finite_weights(self, bad):
         a = np.zeros((3, 3))
@@ -526,6 +560,27 @@ class TestBackward:
                                      grad_out)
         for g, w in zip(grads, want):
             assert g.tobytes() == w.tobytes()
+
+    def test_block_checks_every_index_before_its_first_batch(self):
+        # the bad index sits in the short last batch, which gathers; the
+        # whole batches before it take the Gram side
+        ds = make_pool([8, 8, 8], dim=5, seed=58)
+        model = rand_linear(5, 4, seed=59)
+        ts = subsample_tuples(ds, 2, 197, seed=60)
+        negatives = ts.negatives.copy()
+        negatives[-1, 0] = -1
+        steps = model_mod.tuple_block_backward(
+            model, ds, ts.anchors, ts.positives, negatives, LossSpec(), 64)
+        with pytest.raises(IndexError, match="out of range"):
+            next(steps)
+
+    def test_rejects_empty_batch(self):
+        ds = make_pool([3, 3], dim=3, seed=0)
+        model = rand_linear(3, 2, seed=0)
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ConfigError, match="at least one tuple"):
+            tuple_batch_backward(model, ds, empty, empty,
+                                 np.zeros((0, 2), dtype=np.int64), LossSpec())
 
     def test_rejects_flat_negatives(self):
         ds = make_pool([3, 3], dim=3, seed=0)

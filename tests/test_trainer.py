@@ -8,15 +8,16 @@ from uscrl.dataset import GaussianSpec, generate_gaussian, train_holdout_split
 from uscrl.errors import ConfigError, NumericError, PreconditionError
 from uscrl.loss import default_clip
 from uscrl import trainer
-from uscrl.model import (mean_classifier, project, spectral_norm,
-                         tuple_batch_backward)
-from uscrl.risk import child_seed
+from uscrl import model as model_mod
+from uscrl.model import mean_classifier, spectral_norm
+from uscrl.risk import child_seed, population_risk_mc
 from uscrl.trainer import (TrainConfig, compare_regimes,
                            sample_complexity_search, train)
 from uscrl.tuples import (REGIME_ALL, REGIME_IID, REGIME_SUB, TupleSet,
                           subsample_tuples)
 
 from conftest import make_pool
+from naive_ref import naive_train
 
 
 def small_cfg(**over):
@@ -131,25 +132,65 @@ class TestTrain:
         report = train(ds, cfg, tuples=ts)
 
         model = trainer._build_model(cfg, ds.dim)
-        rng = np.random.default_rng(child_seed(cfg.seed, 0))
-        velocity = [np.zeros_like(w) for w in model.weights]
-        for _ in range(cfg.epochs):
-            order = rng.permutation(ts.m_count)
-            for lo in range(0, ts.m_count, cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                grads, _ = tuple_batch_backward(
-                    model, ds, ts.anchors[idx], ts.positives[idx],
-                    ts.negatives[idx], cfg.loss_spec())
-                velocity = [0.5 * v + g for v, g in zip(velocity, grads)]
-                model.weights = [w - cfg.lr * v
-                                 for w, v in zip(model.weights, velocity)]
-                project(model)
+        naive_train(model, ds, ts, cfg.loss_spec(), cfg.epochs,
+                    cfg.batch_size, cfg.lr, cfg.momentum,
+                    child_seed(cfg.seed, 0))
         assert ([w.tobytes() for w in report.model.weights]
                 == [w.tobytes() for w in model.weights])
 
         plain = train(ds, replace(cfg, momentum=0.0), tuples=ts)
         assert ([w.tobytes() for w in plain.model.weights]
                 != [w.tobytes() for w in model.weights])
+
+    # (pool sizes, family, out_dim, m_tuples, batch_size, momentum) and the
+    # sides one epoch's batches take
+    LOOP_CASES = {
+        # 5,000 tuples: a 4,096-tuple block, then a short one; every batch,
+        # the short last one too, scores from the 24-row pool's Gram matrix
+        "gram_linear_blocks": (([8, 8, 8], "linear", 4, 5000, 256, 0.0),
+                               ["gram"] * 20),
+        # whole-pool gathers, then a short batch over its touched rows
+        "gather_mlp": (([14, 13, 13], "mlp", 4, 140, 64, 0.0),
+                       ["gather"] * 3),
+        # 197 tuples: three Gram batches, then 5 tuples that gather
+        "short_batch_switches_side": (([8, 8, 8], "linear", 4, 197, 64, 0.0),
+                                      ["gram"] * 3 + ["gather"]),
+        "momentum": (([8, 8, 8], "linear", 4, 600, 128, 0.9), ["gram"] * 5),
+    }
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_train_matches_loop_oracle(self, monkeypatch, case):
+        """train() over blocks of batches gives the bytes of a per-batch
+        loop of tuple_batch_backward, heavy-ball step and project."""
+        (sizes, family, out_dim, m, batch, mu), epoch_sides = \
+            self.LOOP_CASES[case]
+        gspec = GaussianSpec.random(len(sizes), dim=5, sigma=0.5, seed=60)
+        ds = make_pool(sizes, dim=5, seed=61)
+        ts = subsample_tuples(ds, 2, m, seed=62)
+        assert ts.m_count == m
+        cfg = small_cfg(family=family, hidden=(6,), out_dim=out_dim,
+                        epochs=2, batch_size=batch, momentum=mu, lr=0.3,
+                        eval_draws=1000)
+        sides = []
+        for side, name in (("gram", "gram_loss_grad"),
+                           ("gather", "block_loss_grad")):
+            def spy(*args, _side=side, _fn=getattr(model_mod, name)):
+                sides.append(_side)
+                return _fn(*args)
+            monkeypatch.setattr(model_mod, name, spy)
+        report = train(ds, cfg, eval_spec=gspec, tuples=ts)
+        assert sides == epoch_sides * cfg.epochs
+
+        model = trainer._build_model(cfg, ds.dim)
+        losses = naive_train(model, ds, ts, cfg.loss_spec(), cfg.epochs,
+                             cfg.batch_size, cfg.lr, cfg.momentum,
+                             child_seed(cfg.seed, 0))
+        assert ([w.tobytes() for w in report.model.weights]
+                == [w.tobytes() for w in model.weights])
+        assert report.epoch_losses == losses
+        assert report.final_risk == population_risk_mc(
+            model, gspec, cfg.k, cfg.loss_spec(), num_draws=cfg.eval_draws,
+            seed=child_seed(cfg.seed, 3)).value
 
     def test_step_accounting(self):
         ds = make_pool([10, 10], dim=4, seed=17)
